@@ -38,11 +38,7 @@ from repro.faults.study import (
     reproduced_family_distribution,
     root_cause_distribution,
 )
-from repro.harness.experiment import (
-    EXTRA_SOLUTIONS,
-    SOLUTIONS,
-    run_experiment,
-)
+from repro.harness.experiment import SOLUTIONS, run_experiment
 from repro.harness.report import render_bars, render_table
 from repro.lang.fuse import VM_ENGINES
 
@@ -109,9 +105,7 @@ def _report_result(result) -> None:
 
 def _cmd_run(args) -> int:
     result = run_experiment(
-        args.fault, args.solution, seed=args.seed,
-        bisect_engine=args.bisect_engine,
-        vm_engine=args.vm_engine,
+        args.fault, args.solution, seed=args.seed, vm_engine=args.vm_engine,
     )
     _report_result(result)
     return 0 if (result.mitigation and result.mitigation.recovered) else 1
@@ -543,13 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run one fault/solution experiment")
     run_p.add_argument("--fault", required=True,
                        choices=[s.fid for s in ALL_SCENARIOS])
-    run_p.add_argument("--solution", default="arthas",
-                       choices=list(SOLUTIONS) + list(EXTRA_SOLUTIONS))
+    run_p.add_argument("--solution", default="arthas", choices=SOLUTIONS)
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--bisect-engine", default="incremental",
-                       choices=["incremental", "snapshot"],
-                       help="probe engine for arthas-bi (snapshot is the "
-                            "full-restore oracle)")
     run_p.add_argument("--vm-engine", default="fused",
                        choices=list(VM_ENGINES),
                        help="PMLang VM engine (table is the per-step "

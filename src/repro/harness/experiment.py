@@ -16,6 +16,11 @@ Solutions:
   column since the fault study grew past f1–f12
 * ``pmcriu``     — CRIU + PM pool dumps, 1-minute snapshot interval
 * ``arckpt``     — the checkpoint log without the analyzer
+
+Every solution mitigates through one path, the crash-safe degradation
+ladder of :func:`_mitigate_supervised`: the primary reverter, then
+conservative rollback (the paper's §4.5 fallback), each under crash
+retries, followed by post-recovery verification.
 """
 
 from __future__ import annotations
@@ -42,14 +47,11 @@ from repro.lang.interp import FaultInfo
 from repro.pmem.poolcheck import check_pool
 from repro.reactor.leakfix import find_leaked_objects, mitigate_leak
 from repro.reactor.plan import Candidate, distance_policy
-from repro.reactor.revert import IntentJournal, MitigationResult, Reverter
+from repro.reactor.revert import IntentJournal, Reverter
 from repro.reactor.server import ReactorServer
 from repro.workloads.generators import MixedWorkload
 
 SOLUTIONS = ("arthas", "arthas-rb", "arthas-bi", "pmcriu", "arckpt")
-
-#: kept for extension points; every known solution is first-class today
-EXTRA_SOLUTIONS = ()
 
 #: Arthas solution name -> primary Reverter strategy
 _ARTHAS_MODES = {"arthas": "purge", "arthas-rb": "rollback", "arthas-bi": "bisect"}
@@ -124,8 +126,8 @@ class MitigationRun:
     #: image + allocator metadata); lets equivalence suites compare two
     #: runs' final states without holding both pools
     pool_digest: str = ""
-    #: supervised-mode only: the degradation-ladder account (rungs,
-    #: crash retries, post-recovery verification); None for legacy runs
+    #: the degradation-ladder account (rungs, crash retries,
+    #: post-recovery verification); every mitigation carries one
     ladder: Optional[dict] = None
     #: reactor-server accounting: background PDG precompute cost and
     #: plan requests served — the paper accounts analysis time outside
@@ -185,28 +187,26 @@ def run_experiment(
     supervised: bool = False,
     inject_plan: Optional[faultinject.InjectionPlan] = None,
     max_crash_retries: int = 6,
-    bisect_engine: str = "incremental",
     vm_engine: str = "fused",
 ) -> ExperimentResult:
     """Run one (fault, solution) experiment end to end.
 
-    ``supervised=True`` replaces the bare mitigation call with the
-    crash-safe supervisor: periodic snapshots are taken during the run
-    (so the ladder always has a last-resort rung), mitigation runs under
-    crash-retry-with-backoff, degrades purge → rollback → snapshot
-    restore, and the result carries a ladder report with post-recovery
-    verification (poolcheck, checksum scan, pool digest).  An
-    ``inject_plan`` is armed *only* around the mitigation phase — the
-    sweep probes recovery's own crash-safety, not the workload's.
+    Mitigation always runs on the crash-safe ladder
+    (:func:`_mitigate_supervised`), so every result carries a ladder
+    report with post-recovery verification (poolcheck, checksum scan,
+    pool digest).  ``supervised=True`` has one effect: periodic pmCRIU
+    snapshots are taken during the run, which gives every solution a
+    last-resort snapshot-restore rung.  An ``inject_plan`` is armed
+    *only* around the mitigation phase — the sweep probes recovery's own
+    crash-safety, not the workload's.
 
     ``fid`` may be a registered fault id *or* a :class:`FaultScenario`
     instance — the fuzzer probes candidate scenarios through the exact
     pipeline they will face once registered.
     """
-    if solution not in SOLUTIONS and solution not in EXTRA_SOLUTIONS:
+    if solution not in SOLUTIONS:
         raise ValueError(
-            f"unknown solution {solution!r}; pick from "
-            f"{SOLUTIONS + EXTRA_SOLUTIONS}"
+            f"unknown solution {solution!r}; pick from {SOLUTIONS}"
         )
     if isinstance(fid, FaultScenario):
         scenario = fid
@@ -243,8 +243,8 @@ def run_experiment(
 
     pmcriu: Optional[PmCRIU] = None
     if solution == "pmcriu" or supervised:
-        # supervised runs snapshot regardless of solution: the ladder's
-        # last rung restores the newest consistent whole-pool image
+        # the snapshotter is the ladder's snapshot rung: the only rung of
+        # pmcriu, and the last resort of every supervised run
         pmcriu = PmCRIU(adapter.pool, adapter.allocator, SNAPSHOT_INTERVAL)
 
     # ------------------------------------------------------------------
@@ -342,37 +342,15 @@ def run_experiment(
         if inject_plan is not None else nullcontext()
     )
     with inject_cm:
-        if supervised:
-            run = _mitigate_supervised(
-                ctx, scenario, outcome, reexec, mclock, delay,
-                solution=solution, batch_size=batch_size,
-                snapshotter=pmcriu, inject_plan=inject_plan,
-                max_crash_retries=max_crash_retries,
-            )
-        elif arthas_like:
-            run = _mitigate_arthas(
-                ctx, scenario, outcome, reexec, mclock, delay,
-                mode=_ARTHAS_MODES[solution], batch_size=batch_size,
-                bisect_engine=bisect_engine,
-            )
-        elif solution == "pmcriu":
-            assert pmcriu is not None
-            mres = pmcriu.mitigate(
-                reexec, clock=mclock, reexec_delay=delay,
-                timeout_seconds=MITIGATION_TIMEOUT,
-            )
-            run = _to_run(solution, mres, adapter)
-        else:  # arckpt
-            arckpt = ArCkpt(adapter.ckpt.log, adapter.pool, adapter.allocator)
-            mres = arckpt.mitigate(
-                reexec, clock=mclock, reexec_delay=delay,
-                timeout_seconds=MITIGATION_TIMEOUT,
-            )
-            run = _to_run(solution, mres, adapter)
+        run = _mitigate_supervised(
+            ctx, scenario, outcome, reexec, mclock, delay,
+            solution=solution, batch_size=batch_size,
+            snapshotter=pmcriu, inject_plan=inject_plan,
+            max_crash_retries=max_crash_retries,
+        )
 
     run.items_before = items_before
     run.items_after = _safe_count(adapter)
-    run.pool_digest = pool_digest(adapter.pool, adapter.allocator)
 
     # ------------------------------------------------------------------
     # post-recovery consistency (Table 4)
@@ -422,11 +400,9 @@ def _make_reexec(ctx, scenario, detector, monitor) -> Callable[[], RunOutcome]:
 
 def _make_rounds_runner(
     ctx, reexec, mclock: SimClock, delay, batch_size: int,
-    bisect_engine: str = "incremental",
     server: Optional[ReactorServer] = None,
 ):
-    """Build the detector/reactor rounds driver shared by the legacy and
-    supervised mitigation paths.
+    """Build the detector/reactor rounds driver of the Arthas rungs.
 
     The returned ``rounds(run, seen_faults, start_iid, mode,
     max_attempts, intents=None)`` may run several rounds: mitigating one
@@ -434,7 +410,11 @@ def _make_rounds_runner(
     deleted items exposes the bad flush timestamp that deleted them),
     which the detector reports and the reactor re-slices from.  ``mode``
     picks the Reverter strategy: ``"purge"``, ``"rollback"`` or
-    ``"bisect"`` (the latter running on ``bisect_engine``).
+    ``"bisect"``.  ``intents`` maps a round index to that round's
+    :class:`IntentJournal`: a later round may re-plan a cut an earlier
+    round already tried, and must test it again, so cuts are journaled
+    per round — a crash retry replays the same rounds and skips only
+    what it already did.
     """
     adapter = ctx.adapter
     log = adapter.ckpt.log
@@ -461,7 +441,7 @@ def _make_rounds_runner(
         start_iid: int,
         mode: str,
         max_attempts: int,
-        intents: Optional[IntentJournal] = None,
+        intents: Optional[Dict[int, IntentJournal]] = None,
     ) -> None:
         fault_iid = start_iid
         first_round = run.attempts == 0
@@ -486,13 +466,16 @@ def _make_rounds_runner(
                 max_attempts=max(1, max_attempts - run.attempts),
                 known_faults=seen_faults,
                 enable_divergence_repair=first_round and _round == 0,
-                intents=intents,
+                intents=(
+                    intents.setdefault(_round, IntentJournal())
+                    if intents is not None else None
+                ),
                 yield_fn=getattr(ctx, "yield_fn", None),
             )
             if mode == "rollback":
                 mres = reverter.mitigate_rollback(plan)
             elif mode == "bisect":
-                mres = reverter.mitigate_bisect(plan, engine=bisect_engine)
+                mres = reverter.mitigate_bisect(plan)
             else:
                 mres = reverter.mitigate_purge(plan, batch_size=batch_size)
             run.attempts += mres.attempts
@@ -520,46 +503,6 @@ def _make_rounds_runner(
     return rounds
 
 
-def _mitigate_arthas(
-    ctx,
-    scenario,
-    outcome: RunOutcome,
-    reexec,
-    mclock: SimClock,
-    delay,
-    mode: str,
-    batch_size: int,
-    bisect_engine: str = "incremental",
-) -> MitigationRun:
-    adapter = ctx.adapter
-    solution = {v: k for k, v in _ARTHAS_MODES.items()}[mode]
-    log = adapter.ckpt.log
-
-    if scenario.kind == "leak":
-        return _mitigate_leak_arthas(ctx, scenario, reexec, mclock, delay, solution)
-
-    assert outcome.fault is not None, "trap/dataloss faults carry a fault instr"
-    run = MitigationRun(solution=solution, recovered=False)
-    seen_faults = {outcome.fault.iid}
-    #: per-mode attempt budget; exhausting it in purge or bisect mode
-    #: triggers the paper's fallback to conservative rollback (§4.5)
-    primary_max_attempts = 60 if mode != "rollback" else 200
-    rounds = _make_rounds_runner(
-        ctx, reexec, mclock, delay, batch_size, bisect_engine=bisect_engine
-    )
-
-    rounds(run, seen_faults, outcome.fault.iid, mode, primary_max_attempts)
-    if not run.recovered and mode != "rollback" and mclock.now < MITIGATION_TIMEOUT:
-        # paper Section 4.5: the primary mode exhausted its tries (or, for
-        # bisect, even the full reversion did not recover); switch to the
-        # conservative time-ordered rollback
-        run.notes = (run.notes + "; " if run.notes else "") + "fell back to rollback"
-        rounds(run, seen_faults, outcome.fault.iid, "rollback", 200)
-    run.duration_seconds = mclock.now
-    run.total_updates = log.total_updates
-    return run
-
-
 def _mitigate_supervised(
     ctx,
     scenario,
@@ -578,12 +521,15 @@ def _mitigate_supervised(
 
     Rungs, by solution (each wrapped in crash-retries, each idempotent):
 
-    * ``arthas``     — purge → rollback (intent-journaled) → snapshot
-    * ``arthas-rb``  — rollback (intent-journaled) → snapshot
-    * ``arthas-bi``  — bisect → rollback (intent-journaled) → snapshot
-    * leak faults    — leak-fix → snapshot
-    * ``arckpt``     — arckpt reversion → snapshot
+    * ``arthas``     — purge → rollback (intent-journaled)
+    * ``arthas-rb``  — rollback (intent-journaled)
+    * ``arthas-bi``  — bisect → rollback (intent-journaled)
+    * leak faults    — leak-fix
+    * ``arckpt``     — arckpt reversion
     * ``pmcriu``     — snapshot only
+
+    With a ``snapshotter`` every ladder ends in the snapshot-restore rung
+    (``pmcriu``'s only rung, the last resort of supervised runs).
 
     An injected crash *inside a re-execution* surfaces as a guest fault
     of kind ``injected-crash``; the strict reexec wrapper re-raises it so
@@ -596,7 +542,8 @@ def _mitigate_supervised(
     adapter = ctx.adapter
     log = adapter.ckpt.log if adapter.ckpt is not None else None
     run = MitigationRun(solution=solution, recovered=False)
-    intents = IntentJournal()
+    #: the rollback rung's intent journals, one per re-plan round
+    intents: Dict[int, IntentJournal] = {}
     quarantined_total = 0
 
     def strict_reexec() -> RunOutcome:
@@ -662,14 +609,21 @@ def _mitigate_supervised(
         rungs.append(("rollback", arthas_step("rollback", 200, True)))
     elif solution in _ARTHAS_MODES and scenario.kind == "leak":
         def leak_step() -> StepResult:
-            sub = _mitigate_leak_arthas(
-                ctx, scenario, strict_reexec, mclock, delay, solution
+            # Section 4.7: diff checkpoint-log liveness against the
+            # addresses recovery actually touches
+            adapter.restart()
+            recovery_addresses = adapter.recover()
+            leaked = find_leaked_objects(
+                log, adapter.allocator, recovery_addresses,
+                protect={adapter.root},
             )
-            run.attempts += sub.attempts
-            run.leaked_blocks = sub.leaked_blocks
-            run.notes = sub.notes
-            return StepResult(recovered=sub.recovered, attempts=sub.attempts,
-                              notes=sub.notes)
+            freed = mitigate_leak(adapter.allocator, leaked, confirm=True)
+            mclock.advance(delay())
+            out = strict_reexec()
+            run.attempts += 1
+            run.leaked_blocks = len(leaked)
+            run.notes = f"freed {freed} leaked words in {len(leaked)} blocks"
+            return StepResult(recovered=out.ok, attempts=1, notes=run.notes)
         rungs.append(("leak-fix", leak_step))
     elif solution == "arckpt" and log is not None:
         def arckpt_step() -> StepResult:
@@ -705,7 +659,9 @@ def _mitigate_supervised(
         rungs, adapter.pool, mclock, max_crash_retries=max_crash_retries
     )
     run.recovered = report.recovered
-    run.timed_out = any(r.timed_out for r in report.rungs)
+    # the last rung that ran decides: a purge rung that ran out of budget
+    # before rollback recovered does not make the run a timeout
+    run.timed_out = bool(report.rungs) and report.rungs[-1].timed_out
     run.duration_seconds = mclock.now
     if log is not None:
         run.total_updates = log.total_updates
@@ -722,12 +678,15 @@ def _mitigate_supervised(
 
     with_crash_retries(final_scan, adapter.pool, mclock, max_crash_retries)
     pc = check_pool(adapter.pool, adapter.allocator)
+    run.pool_digest = pool_digest(adapter.pool, adapter.allocator)
     verification: Dict[str, object] = {
         "pool_ok": pc.ok,
         "pool_summary": pc.summary(),
         "checksum_quarantined": quarantined_total,
-        "pool_digest": pool_digest(adapter.pool, adapter.allocator),
-        "intent_cuts_done": intents.done_cuts(),
+        "pool_digest": run.pool_digest,
+        "intent_cuts_done": [
+            [r, cut] for r in sorted(intents) for cut in intents[r].done_cuts()
+        ],
     }
     if inject_plan is not None and not inject_plan.record:
         verification["injected"] = [s.label() for s in inject_plan.fired]
@@ -747,48 +706,6 @@ def _mitigate_supervised(
         }
     run.ladder = ladder
     return run
-
-
-def _mitigate_leak_arthas(
-    ctx, scenario, reexec, mclock: SimClock, delay, solution: str
-) -> MitigationRun:
-    """Section 4.7: diff checkpoint-log liveness against recovery accesses."""
-    adapter = ctx.adapter
-    log = adapter.ckpt.log
-    adapter.restart()
-    recovery_addresses = adapter.recover()
-    leaked = find_leaked_objects(
-        log, adapter.allocator, recovery_addresses, protect={adapter.root}
-    )
-    freed = mitigate_leak(adapter.allocator, leaked, confirm=True)
-    mclock.advance(delay())
-    out = reexec()
-    run = MitigationRun(
-        solution=solution,
-        recovered=out.ok,
-        attempts=1,
-        duration_seconds=mclock.now,
-        reverted_updates=0,  # only leaked objects are discarded
-        total_updates=log.total_updates,
-        leaked_blocks=len(leaked),
-        notes=f"freed {freed} leaked words in {len(leaked)} blocks",
-    )
-    return run
-
-
-def _to_run(solution: str, mres: MitigationResult, adapter) -> MitigationRun:
-    total = adapter.ckpt.log.total_updates if adapter.ckpt is not None else 0
-    return MitigationRun(
-        solution=solution,
-        recovered=mres.recovered,
-        attempts=mres.attempts,
-        duration_seconds=mres.duration_seconds,
-        reverted_updates=mres.discarded_updates,
-        total_updates=total,
-        timed_out=mres.timed_out,
-        notes=mres.notes,
-        reverted_seqs=list(mres.reverted_seqs),
-    )
 
 
 def _consistency_suite(ctx, scenario, seed: int) -> List[str]:

@@ -15,13 +15,14 @@ from repro import faultinject
 from repro.checkpoint.log import MAX_VERSIONS, CheckpointLog, version_crc
 from repro.errors import CorruptLogError, InjectedCrash
 from repro.faultinject import InjectionPlan, InjectionSpec
+from repro.harness.experiment import run_experiment
 from repro.instrument.artifacts import (
     load_checkpoint_log,
     open_and_verify,
     save_checkpoint_log,
 )
 from repro.pmem.pool import PM_BASE
-from repro.reactor.revert import IntentJournal
+from repro.reactor.revert import IntentJournal, Reverter
 
 A = PM_BASE
 B = PM_BASE + 64
@@ -348,3 +349,35 @@ def test_intent_journal_tolerates_torn_tail(tmp_path):
         f.write('{"op": "begi')  # writer died mid-append
     j2 = IntentJournal(path)
     assert j2.done_cuts() == [5]
+
+
+def test_journaled_rollback_matches_unjournaled(monkeypatch):
+    """Without a crash, the intent journal changes nothing.
+
+    f23's rollback re-plans over several rounds, and a later round meets
+    cuts an earlier round already tried; the journal must not skip their
+    re-execution.  A supervised run journals its rollback rung, the
+    second run has the journal switched off.
+    """
+    def mitigate():
+        return run_experiment(
+            "f23", "arthas-rb", seed=0, supervised=True,
+            consistency_probe=False,
+        ).mitigation
+
+    journaled = mitigate()
+    original = Reverter.mitigate_rollback
+
+    def unjournaled(self, plan):
+        self.intents = None
+        return original(self, plan)
+
+    monkeypatch.setattr(Reverter, "mitigate_rollback", unjournaled)
+    plain = mitigate()
+    assert journaled.ladder["verification"]["intent_cuts_done"]
+    assert not plain.ladder["verification"]["intent_cuts_done"]
+    assert journaled.ladder["rungs"] == plain.ladder["rungs"]
+    assert (journaled.pool_digest, journaled.attempts,
+            journaled.reverted_updates) == (
+        plain.pool_digest, plain.attempts, plain.reverted_updates
+    )

@@ -4,6 +4,9 @@ Full 12x4 matrices live in the benchmarks; here we pin the key paper
 shapes on the quickest cases so the suite stays fast.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.faults.fuzzed import FUZZ_FAMILIES
@@ -14,6 +17,17 @@ from repro.faults.registry import (
     scenarios_by_family,
 )
 from repro.harness.experiment import SOLUTIONS, run_experiment
+
+#: (fault, solution) cells the committed matrix lists as recovered but
+#: inconsistent.  Root-cause fixes may shrink this set; nothing may grow it
+KNOWN_INCONSISTENT = frozenset({
+    ("f3", "arthas"), ("f15", "arthas"), ("f15", "arthas-rb"),
+    ("f1", "arthas-bi"), ("f4", "arthas-bi"), ("f10", "arthas-bi"),
+    ("f15", "arthas-bi"), ("f20", "arthas-bi"), ("f21", "arthas-bi"),
+    ("f22", "arthas-bi"), ("f24", "arthas-bi"), ("f15", "arckpt"),
+})
+
+MATRIX_PATH = Path(__file__).resolve().parents[1] / "results" / "matrix_all.json"
 
 
 def test_registry_covers_table2():
@@ -50,14 +64,12 @@ class TestF4ImmediateCrash:
         assert result.manifested
         assert result.confirmed_hard
         assert result.mitigation.recovered
-        if solution == "arthas-bi":
-            # bisect keeps the minimal prefix that stops recurrence; on
-            # accounting-heavy faults that can strand counter updates
-            # outside the one-hop forward purge (the strategy's
-            # documented semantic-consistency trade-off)
-            assert result.mitigation.consistent is not None
-        else:
-            assert result.mitigation.consistent
+        # bisect keeps the minimal prefix that stops recurrence; on
+        # accounting-heavy faults that can strand counter updates outside
+        # the one-hop forward purge (the strategy's documented
+        # semantic-consistency trade-off), so f4/arthas-bi is known
+        assert result.mitigation.consistent \
+            or ("f4", solution) in KNOWN_INCONSISTENT
 
     def test_arthas_beats_pmcriu_on_data_loss(self):
         arthas = run_experiment("f4", "arthas", seed=0).mitigation
@@ -129,3 +141,49 @@ class TestMitigationAccounting:
         assert m.plan_candidates > 0
         assert m.pm_slice_size > 0
         assert m.slice_size >= m.pm_slice_size
+
+    def test_analysis_time_reported(self):
+        # the PDG is built before the reactor server exists; the server
+        # reports the analysis' own timings rather than timing nothing
+        m = run_experiment("f1", "arthas", seed=0, consistency_probe=False).mitigation
+        assert m.analysis_seconds > 0
+
+
+#: cell -> (ladder rungs that run, the rung that recovers)
+LADDER_CELLS = {
+    ("f1", "arthas"): (["purge"], "purge"),
+    # purge exhausts its attempt budget; the §4.5 fallback recovers
+    ("f9", "arthas"): (["purge", "rollback"], "rollback"),
+    ("f4", "arthas-rb"): (["rollback"], "rollback"),
+    ("f4", "arthas-bi"): (["bisect"], "bisect"),
+    ("f12", "arthas"): (["leak-fix"], "leak-fix"),
+    ("f4", "pmcriu"): (["snapshot"], "snapshot"),
+    ("f11", "arckpt"): (["arckpt"], None),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(LADDER_CELLS), ids="/".join)
+def test_every_mitigation_runs_the_verified_ladder(cell):
+    """Every solution mitigates on the crash-safe ladder and ends with
+    its verification: a clean poolcheck and the pool's digest."""
+    rungs, recovered_by = LADDER_CELLS[cell]
+    m = run_experiment(*cell, seed=0, consistency_probe=False).mitigation
+    verification = m.ladder["verification"]
+    assert verification["pool_ok"]
+    assert verification["pool_digest"] == m.pool_digest
+    assert [r["rung"] for r in m.ladder["rungs"]] == rungs
+    assert m.ladder["recovered_by"] == recovered_by
+    assert m.recovered == (recovered_by is not None)
+
+
+def test_committed_matrix_inconsistent_cells_are_known():
+    cells = json.loads(MATRIX_PATH.read_text())["report"]["cells"]
+    inconsistent = set()
+    for cell in cells:
+        m = cell["summary"]["mitigation"]
+        if m is None:
+            continue
+        assert m["ladder"]["verification"]["pool_digest"] == m["pool_digest"]
+        if m["recovered"] and m["consistent"] is False:
+            inconsistent.add((cell["fid"], cell["solution"]))
+    assert inconsistent <= KNOWN_INCONSISTENT

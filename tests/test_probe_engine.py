@@ -14,6 +14,7 @@ whole image.
 """
 
 import time
+from functools import partialmethod
 
 import pytest
 
@@ -53,22 +54,26 @@ def test_engines_equivalent_on_synthetic_state(seed):
 
 
 @pytest.mark.parametrize("fid", FIDS)
-def test_engines_equivalent_on_real_faults(fid):
+def test_engines_equivalent_on_real_faults(fid, monkeypatch):
     """Both engines end every real experiment in the same final state.
 
     ``pool_digest`` fingerprints the durable image + allocator metadata,
     so digest equality is byte-level state equality.  The consistency
     probe is skipped: the digest is taken before it and the probe roughly
-    doubles the runtime.
+    doubles the runtime.  The experiment always bisects on the default
+    incremental engine; the oracle run swaps the snapshot engine in.
     """
-    runs = [
-        run_experiment(
-            fid, "arthas-bi", seed=0, consistency_probe=False,
-            bisect_engine=engine,
+    def mitigate():
+        return run_experiment(
+            fid, "arthas-bi", seed=0, consistency_probe=False
         ).mitigation
-        for engine in ("incremental", "snapshot")
-    ]
-    a, b = runs
+
+    a = mitigate()
+    monkeypatch.setattr(
+        Reverter, "mitigate_bisect",
+        partialmethod(Reverter.mitigate_bisect, engine="snapshot"),
+    )
+    b = mitigate()
     assert a is not None and b is not None
     assert a.recovered and b.recovered
     assert a.pool_digest == b.pool_digest
