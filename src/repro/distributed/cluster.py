@@ -165,7 +165,8 @@ class ReplicaDelta:
     meta_ops: List[tuple]
     #: checkpoint records: (kind, addr, size, tx_id, values-or-None)
     records: List[tuple]
-    #: PM-address trace slice the op emitted
+    #: every (guid, addr) pair flushed inside the op's trace window,
+    #: including pairs the primary already held durable
     trace: List[Tuple[str, int]]
     #: transaction-counter post-value
     tx_next: int
@@ -454,8 +455,7 @@ class Cluster:
         tap = meta_ops.append
         trace = node.trace
         if trace is not None:
-            trace.flush()
-            t0 = len(trace.records)
+            window = trace.open_window()
         token = node.pool.open_epoch()
         first = log.max_seq() + 1
         log.record_tap = records.append
@@ -476,9 +476,10 @@ class Cluster:
             failure = exc
         last = log.max_seq()
         words = node.pool.capture_epoch_delta(token)
-        if trace is not None and failure is None:
-            trace.flush()
-        trace_slice = list(trace.records[t0:]) if trace is not None else []
+        trace_slice = (
+            trace.close_window(window, flush=failure is None)
+            if trace is not None else []
+        )
         delta = ReplicaDelta(
             op_id=self._next_op_id,
             kind=kind,

@@ -53,20 +53,19 @@ CKPT_FORMAT = "arthas-ckpt-v2"
 # trace files
 # ----------------------------------------------------------------------
 def save_trace(trace: PMTrace, path: str) -> int:
-    """Flush and write the trace; returns the number of records saved."""
+    """Flush and write the trace; returns the number of distinct pairs saved."""
     trace.flush()
     with open(path, "w") as f:
         json.dump({"records": [[g, a] for g, a in trace.records]}, f)
     return len(trace.records)
 
 
-def load_trace(path: str, flush_threshold: int = 256) -> PMTrace:
+def load_trace(path: str) -> PMTrace:
+    """Read a trace file back as a durable trace."""
     with open(path) as f:
         data = json.load(f)
-    trace = PMTrace(flush_threshold=flush_threshold)
-    for guid, addr in data["records"]:
-        trace.record(guid, addr)
-    trace.flush()
+    trace = PMTrace()
+    trace.load((g, a) for g, a in data["records"])
     return trace
 
 

@@ -693,11 +693,12 @@ class Machine:
 
     def _load(self, addr: int, instr: Instr) -> int:
         if addr >= PM_BASE:
-            if not self.pool.contains(addr):
+            try:
+                return self.pool.read(addr)
+            except PoolError:
                 raise SegfaultTrap(
                     f"PM load outside pool at {addr:#x}", location=instr.location()
-                )
-            return self.pool.read(addr)
+                ) from None
         if addr in self._vol_valid:
             return self.vmem.get(addr, 0)
         raise SegfaultTrap(
@@ -708,11 +709,12 @@ class Machine:
 
     def _store(self, addr: int, value: int, instr: Instr) -> None:
         if addr >= PM_BASE:
-            if not self.pool.contains(addr):
+            try:
+                self.pool.write(addr, value)
+            except PoolError:
                 raise SegfaultTrap(
                     f"PM store outside pool at {addr:#x}", location=instr.location()
-                )
-            self.pool.write(addr, value)
+                ) from None
             return
         if addr in self._vol_valid:
             self.vmem[addr] = value

@@ -113,7 +113,8 @@ class PMPool:
     # ------------------------------------------------------------------
     def read(self, addr: int) -> int:
         """Read one word, observing un-persisted stores (cache first)."""
-        self._check(addr)
+        if not PM_BASE <= addr < PM_BASE + self.size_words:
+            self._check(addr)  # raises
         self.stats["reads"] += 1
         if addr in self._cache:
             return self._cache[addr]
@@ -121,7 +122,8 @@ class PMPool:
 
     def write(self, addr: int, value: int) -> None:
         """Store one word into the write buffer (not yet durable)."""
-        self._check(addr)
+        if not PM_BASE <= addr < PM_BASE + self.size_words:
+            self._check(addr)  # raises
         self.stats["writes"] += 1
         self._cache[addr] = value
 

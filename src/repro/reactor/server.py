@@ -175,7 +175,7 @@ class RangeLockTable:
 class KeyTouchIndex:
     """address -> client keys whose operations persisted to it.
 
-    Fed from the PM trace on the request path (one mark/flush diff per
+    Fed from the PM trace on the request path (one trace window per
     applied op — the same pattern ``SystemAdapter.recover`` uses for the
     recovery-access window), queried once per mitigation to join locked
     word ranges back to the keys that must be quarantined.
@@ -462,16 +462,12 @@ class LiveRecoveryServer:
     def _apply_traced(self, op: Op) -> None:
         """Apply one op, attributing its persisted words to its key."""
         trace = self.adapter.trace
-        trace.flush()
-        mark = len(trace.records)
+        window = trace.open_window()
         try:
             self.scenario.apply_op(self.ctx, op)
         finally:
-            trace.flush()
-            if len(trace.records) > mark:
-                self.touch_index.note(
-                    op.key, {a for _g, a in trace.records[mark:]}
-                )
+            pairs = trace.close_window(window)
+            self.touch_index.note(op.key, {a for _g, a in pairs})
 
     def _view_value(self, key: int) -> int:
         if key in self._overlay:

@@ -156,14 +156,17 @@ class SystemAdapter:
     def recover(self) -> Set[int]:
         """Run the recovery function; returns PM addresses it touched."""
         assert self.machine is not None, "call start()/restart() first"
-        if self.trace is not None:
-            self.trace.flush()
-            mark = len(self.trace.records)
-        self.call(self.RECOVER_FN, self.root)
-        if self.trace is not None:
-            self.trace.flush()
-            return {addr for _guid, addr in self.trace.records[mark:]}
-        return set()
+        trace = self.trace
+        if trace is None:
+            self.call(self.RECOVER_FN, self.root)
+            return set()
+        window = trace.open_window()
+        try:
+            self.call(self.RECOVER_FN, self.root)
+        except BaseException:
+            trace.close_window(window, flush=False)
+            raise
+        return {addr for _guid, addr in trace.close_window(window)}
 
     # ------------------------------------------------------------------
     def call(self, fname: str, *args: int):

@@ -277,3 +277,48 @@ class TestReexecApplyAtomicity:
         assert op.key == 2
         assert members[0] in op.spans
         assert second not in op.spans
+
+
+class TestReplicaTrace:
+    """Shipped trace windows keep every mirror's trace index aligned."""
+
+    @staticmethod
+    def _index(trace):
+        return (
+            {g: set(trace.addresses_for_guid(g)) for g, _a in trace.records},
+            {a: set(trace.guids_for_address(a)) for _g, a in trace.records},
+        )
+
+    def test_mirrors_share_one_trace_index(self):
+        cluster = Cluster(
+            n_nodes=4, n_clients=2, seed=3, replication=4,
+            replication_engine="delta",
+        )
+        clients = [ClusterClient(cluster, i) for i in range(2)]
+        rng = random.Random(7)
+        for i in range(300):
+            key = rng.randrange(120)
+            if rng.random() < 0.7:
+                clients[i % 2].insert(key, 500 + i)
+            else:
+                clients[i % 2].delete(key)
+        cluster.drain()
+        first = self._index(cluster.nodes[0].trace)
+        assert first[0]
+        for node in cluster.nodes[1:]:
+            assert self._index(node.trace) == first
+
+        # a repeat insert walks the same root and bucket words the first
+        # one made durable; its delta must still ship those pairs
+        clients[0].insert(1000, 1)
+        primary = cluster.nodes[cluster.oplog[-1].node]
+        durable = set(primary.trace.records)
+        clients[0].insert(1000, 2)
+        shipped = cluster._delta_log[-1].delta.trace
+        assert cluster._delta_log[-1].delta.key == 1000
+        root_pairs = {(g, a) for g, a in shipped if a == primary.root}
+        assert root_pairs and root_pairs <= durable
+        assert len(set(shipped) & durable) > len(root_pairs)
+        cluster.drain()
+        for node in cluster.nodes:
+            assert set(shipped) <= set(node.trace.records)

@@ -187,3 +187,30 @@ def test_committed_matrix_inconsistent_cells_are_known():
         if m["recovered"] and m["consistent"] is False:
             inconsistent.add((cell["fid"], cell["solution"]))
     assert inconsistent <= KNOWN_INCONSISTENT
+
+
+#: a fast slice of the committed matrix: every solution column and every
+#: fault family, including one known-inconsistent cell (f24/arthas-bi)
+PINNED_CELLS = (
+    ("f1", "arthas"), ("f17", "arthas"), ("f2", "arthas-bi"),
+    ("f24", "arthas-bi"), ("f22", "arthas-rb"), ("f21", "arckpt"),
+    ("f24", "pmcriu"),
+)
+
+PINNED_FIELDS = (
+    "recovered", "consistent", "attempts", "reverted_updates", "pool_digest",
+)
+
+
+@pytest.mark.parametrize("fid,solution", PINNED_CELLS)
+def test_cell_repeats_committed_matrix(fid, solution):
+    """A hot-path change must leave the committed cells' outcomes — down
+    to the pool digest — exactly as ``matrix-all`` recorded them."""
+    cells = json.loads(MATRIX_PATH.read_text())["report"]["cells"]
+    committed = next(
+        c["summary"]["mitigation"] for c in cells
+        if (c["fid"], c["solution"], c["seed"]) == (fid, solution, 0)
+    )
+    mitigation = run_experiment(fid, solution, seed=0).mitigation
+    got = {f: getattr(mitigation, f) for f in PINNED_FIELDS}
+    assert got == {f: committed[f] for f in PINNED_FIELDS}

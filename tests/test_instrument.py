@@ -1,5 +1,10 @@
 """Tests for GUID assignment, metadata files and the runtime tracer."""
 
+from typing import Dict, List, Set, Tuple
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.analysis import analyze_module
 from repro.instrument.guids import GuidMap, guid_for
 from repro.instrument.passes import instrument_module, uninstrument_module
@@ -84,3 +89,144 @@ def test_trace_auto_flush_at_threshold():
     trace.record("a", 1)
     trace.record("b", 2)  # hits the threshold
     assert len(trace.records) == 2
+
+
+def test_trace_deduplicates_durable_pairs():
+    trace = PMTrace(flush_threshold=3)
+    for _ in range(4):
+        trace.record("a", 1)
+    trace.record("b", 2)
+    trace.record("a", 1)
+    trace.flush()
+    assert trace.records == [("a", 1), ("b", 2)]
+    trace.extend([("b", 2), ("c", 3)])
+    assert trace.records == [("a", 1), ("b", 2), ("c", 3)]
+
+
+def test_window_reports_pairs_already_durable():
+    """A window sees every pair flushed while open, not only new ones —
+    ``KeyTouchIndex`` attributes each op's words from exactly this."""
+    trace = PMTrace()
+    trace.record("root", 0x10)
+    trace.record("head", 0x20)
+    trace.flush()
+    window = trace.open_window()
+    trace.record("head", 0x20)
+    trace.record("item", 0x30)
+    assert trace.close_window(window) == [("head", 0x20), ("item", 0x30)]
+    assert trace.records == [("root", 0x10), ("head", 0x20), ("item", 0x30)]
+
+
+def test_trapped_window_drops_the_buffered_tail():
+    trace = PMTrace(flush_threshold=2)
+    window = trace.open_window()
+    trace.record("a", 1)
+    trace.record("b", 2)  # threshold: flushed inside the window
+    trace.record("c", 3)  # still buffered when the span traps
+    assert trace.close_window(window, flush=False) == [("a", 1), ("b", 2)]
+    trace.crash()
+    assert trace.addresses_for_guid("c") == set()
+
+
+# ----------------------------------------------------------------------
+# oracle: the seed's list-based trace
+# ----------------------------------------------------------------------
+class SeedPMTrace:
+    """The seed tracer: every flushed record appended to a list.
+
+    Windows are the seed's mark/flush diff: flush, remember
+    ``len(records)``, and later slice ``records[mark:]``.
+    """
+
+    def __init__(self, flush_threshold: int = 256):
+        self.flush_threshold = flush_threshold
+        self.records: List[Tuple[str, int]] = []
+        self._buffer: List[Tuple[str, int]] = []
+        self._addrs_by_guid: Dict[str, Set[int]] = {}
+        self._guids_by_addr: Dict[int, Set[str]] = {}
+
+    def record(self, guid: str, addr: int) -> None:
+        self._buffer.append((guid, addr))
+        if len(self._buffer) >= self.flush_threshold:
+            self.flush()
+
+    def flush(self) -> None:
+        for guid, addr in self._buffer:
+            self.records.append((guid, addr))
+            self._addrs_by_guid.setdefault(guid, set()).add(addr)
+            self._guids_by_addr.setdefault(addr, set()).add(guid)
+        self._buffer.clear()
+
+    def crash(self) -> None:
+        self._buffer.clear()
+
+    def open_window(self) -> int:
+        self.flush()
+        return len(self.records)
+
+    def close_window(self, mark: int, flush: bool = True):
+        if flush:
+            self.flush()
+        return self.records[mark:]
+
+    def addresses_for_guid(self, guid: str) -> Set[int]:
+        return self._addrs_by_guid.get(guid, set())
+
+    def guids_for_address(self, addr: int) -> Set[str]:
+        return self._guids_by_addr.get(addr, set())
+
+
+GUIDS = ("g0", "g1", "g2")
+ADDRS = (0x100, 0x101, 0x102, 0x200)
+
+_trace_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), st.sampled_from(GUIDS),
+                  st.sampled_from(ADDRS)),
+        st.tuples(st.just("flush")),
+        st.tuples(st.just("crash")),
+        st.tuples(st.just("open")),
+        st.tuples(st.just("close"), st.integers(0, 3), st.booleans()),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(threshold=st.integers(2, 5), ops=_trace_ops)
+def test_dedup_trace_matches_seed_oracle(threshold, ops):
+    trace = PMTrace(flush_threshold=threshold)
+    seed = SeedPMTrace(flush_threshold=threshold)
+    windows: List[Tuple[int, int]] = []  # (token, seed mark), open order
+
+    def check_indexes():
+        for guid in GUIDS:
+            assert trace.addresses_for_guid(guid) == seed.addresses_for_guid(guid)
+        for addr in ADDRS:
+            assert trace.guids_for_address(addr) == seed.guids_for_address(addr)
+        assert trace.records == list(dict.fromkeys(seed.records))
+
+    def close(i: int, flush: bool):
+        token, mark = windows.pop(i)
+        got = trace.close_window(token, flush=flush)
+        want = seed.close_window(mark, flush=flush)
+        assert got == list(dict.fromkeys(want))
+
+    for op in ops:
+        if op[0] == "record":
+            trace.record(op[1], op[2])
+            seed.record(op[1], op[2])
+        elif op[0] == "flush":
+            trace.flush()
+            seed.flush()
+        elif op[0] == "crash":
+            trace.crash()
+            seed.crash()
+        elif op[0] == "open":
+            windows.append((trace.open_window(), seed.open_window()))
+        elif windows:
+            close(op[1] % len(windows), op[2])
+        check_indexes()
+    while windows:
+        close(len(windows) - 1, True)
+    check_indexes()

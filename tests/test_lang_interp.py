@@ -13,7 +13,9 @@ from repro.errors import (
     SegfaultTrap,
 )
 from repro.lang.compiler import compile_module
+from repro.lang.fuse import VM_ENGINES
 from repro.lang.interp import VOL_BASE, Machine
+from repro.pmem.pool import PM_BASE
 from tests.conftest import compile_and_run
 
 
@@ -260,6 +262,37 @@ class TestThreads:
         machine.crash()
         assert machine.pending_background() == 0
         assert machine.call("readp", p) == 0
+
+
+class TestPoolBounds:
+    """A PM access pays one bounds check, inside the pool; an access past
+    the pool's end must still surface as the guest's segfault."""
+
+    @pytest.mark.parametrize("engine", VM_ENGINES)
+    @pytest.mark.parametrize("op", ["load", "store"])
+    def test_out_of_pool_access_segfaults(self, engine, op):
+        src = (
+            "def load(p):\n    return p[0]\n"
+            "def store(p):\n    p[0] = 7\n    return 0\n"
+        )
+        module = compile_module("t", src)
+        access = next(
+            i for i in module.functions[op].instructions() if i.op == op
+        )
+        machine = Machine(module, vm_engine=engine)
+        pool = machine.pool
+        past_end = PM_BASE + pool.size_words
+        before = dict(pool.stats)
+        with pytest.raises(SegfaultTrap) as exc:
+            machine.call(op, past_end)
+        assert str(exc.value) == f"PM {op} outside pool at {past_end:#x}"
+        assert exc.value.location == access.location()
+        assert machine.last_fault.iid == access.iid
+        assert pool.stats == before
+        # the last word of the pool is still in bounds
+        machine.call(op, past_end - 1)
+        counter = "reads" if op == "load" else "writes"
+        assert pool.stats[counter] == before[counter] + 1
 
 
 class TestTracing:
