@@ -435,7 +435,6 @@ def _cmd_cluster_sweep(args) -> int:
     import json
     import os
 
-    from repro.distributed.cluster import DEFAULT_REPLICATION_ENGINE
     from repro.harness.cluster_sweep import check_against, run_cluster_sweep
 
     def progress(cell) -> None:
@@ -445,7 +444,6 @@ def _cmd_cluster_sweep(args) -> int:
 
     report = run_cluster_sweep(
         sweep_seed=args.seed, quick=args.quick, progress=progress,
-        engine=args.replication_engine or DEFAULT_REPLICATION_ENGINE,
     )
     print(report.summary())
 
@@ -475,9 +473,7 @@ def _cmd_cluster_sweep(args) -> int:
 
 def _cmd_cluster_status(args) -> int:
     from repro.detector.monitor import Detector
-    from repro.distributed.cluster import (
-        DEFAULT_REPLICATION_ENGINE, Cluster, ClusterClient,
-    )
+    from repro.distributed.cluster import Cluster, ClusterClient
     from repro.distributed.shardmgr import ShardManager
     from repro.faults.registry import scenario_by_id
     from repro.harness.experiment import ExperimentContext
@@ -486,8 +482,6 @@ def _cmd_cluster_status(args) -> int:
     cluster = Cluster(
         n_nodes=args.nodes, n_clients=1,
         adapter_cls=scenario.adapter_cls(), seed=args.seed, replication=2,
-        replication_engine=args.replication_engine
-        or DEFAULT_REPLICATION_ENGINE,
     )
     client = ClusterClient(cluster, 0)
     for key in range(40):
@@ -679,10 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "against the committed report at --out")
     csweep_p.add_argument("--out", default="results/cluster_sweep.json",
                           help="JSON report path ('-' to skip writing)")
-    csweep_p.add_argument("--replication-engine", default=None,
-                          choices=["reexec", "delta"],
-                          help="replication engine under test (default: "
-                               "the cluster default, currently delta)")
 
     cstatus_p = sub.add_parser(
         "cluster-status",
@@ -693,9 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="fault scenario to wedge shard 0 with")
     cstatus_p.add_argument("--nodes", type=int, default=3)
     cstatus_p.add_argument("--seed", type=int, default=0)
-    cstatus_p.add_argument("--replication-engine", default=None,
-                           choices=["reexec", "delta"],
-                           help="replication engine for the demo cluster")
     return parser
 
 

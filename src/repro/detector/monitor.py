@@ -98,9 +98,7 @@ class Detector:
         except Trap:
             fault = machine.last_fault
             assert fault is not None
-            signature = FailureSignature.from_fault(fault)
-            self.history.append(signature)
-            return RunOutcome(ok=False, fault=fault, signature=signature)
+            return self.trapped(fault)
         # trap-free: consult user checks and the leak monitor
         for check in self.user_checks:
             violation = check()
@@ -111,6 +109,12 @@ class Detector:
             if violation is not None:
                 return RunOutcome(ok=False, violation=violation)
         return RunOutcome(ok=True)
+
+    def trapped(self, fault: FaultInfo) -> RunOutcome:
+        """A guest trap as a failed outcome; its signature joins the history."""
+        signature = FailureSignature.from_fault(fault)
+        self.history.append(signature)
+        return RunOutcome(ok=False, fault=fault, signature=signature)
 
     # ------------------------------------------------------------------
     def is_potential_hard_failure(self, signature: FailureSignature) -> bool:

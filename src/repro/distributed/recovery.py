@@ -3,9 +3,10 @@
 Protocol, in the terms of Elnozahy et al.'s rollback-recovery survey
 (which the paper cites as the blueprint):
 
-1. **Local recovery.**  The failing node runs its local Arthas reactor
-   (slice x trace x checkpoint log, purge mode) exactly as in the
-   single-node case.
+1. **Local recovery.**  The failing node runs the single-node
+   crash-safe mitigation ladder, driven by the shard supervisor
+   (:meth:`repro.distributed.shardmgr.ShardManager.mitigate`); its
+   reverted checkpoint sequence numbers feed step 2.
 2. **Damage assessment.**  The reverted sequence numbers are mapped back
    through the operation log to the client requests they discarded.
 3. **Causal cascade.**  Any request whose vector clock is causally after
@@ -28,30 +29,9 @@ on discarded state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Set, Tuple
+from typing import List, Set, Tuple
 
-from repro.detector.monitor import Detector, RunOutcome
 from repro.distributed.cluster import Cluster, OpRecord, vc_less
-from repro.harness.simclock import ReexecDelay, SimClock
-from repro.reactor.plan import distance_policy
-from repro.reactor.revert import Reverter
-from repro.reactor.server import ReactorServer
-
-
-@dataclass
-class DistributedRecoveryReport:
-    """What the coordinator did across the cluster."""
-
-    recovered: bool
-    failing_node: int
-    local_attempts: int = 0
-    discarded_ops: List[OpRecord] = field(default_factory=list)
-    cascaded_ops: List[OpRecord] = field(default_factory=list)
-    rounds: int = 0
-
-    def discarded_keys(self) -> Set[int]:
-        return {op.key for op in self.discarded_ops + self.cascaded_ops}
 
 
 class DistributedReactor:
@@ -59,66 +39,6 @@ class DistributedReactor:
 
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
-
-    # ------------------------------------------------------------------
-    def mitigate(
-        self,
-        failing_node: int,
-        fault_iid: int,
-        verify: Callable[[], None],
-        seed: int = 0,
-    ) -> DistributedRecoveryReport:
-        """Recover ``failing_node`` from ``fault_iid``, then cascade.
-
-        ``verify`` is the failing node's symptom check (raises a guest
-        trap while the symptom persists), as in single-node re-execution.
-        """
-        node = self.cluster.nodes[failing_node]
-        detector = Detector()
-
-        def reexec() -> RunOutcome:
-            node.restart()
-            return detector.observe(
-                node.machine, lambda: (node.recover(), verify())
-            )
-
-        server = ReactorServer(node.module, analysis=node.analysis)
-        plan = server.compute_plan(
-            node.guid_map, node.trace, node.ckpt.log, fault_iid,
-            policy=distance_policy(max_distance=8),
-        )
-        reverter = Reverter(
-            node.ckpt.log, node.pool, node.allocator,
-            reexec=reexec, clock=SimClock(), reexec_delay=ReexecDelay(seed),
-        )
-        local = reverter.mitigate_purge(plan)
-        report = DistributedRecoveryReport(
-            recovered=local.recovered,
-            failing_node=failing_node,
-            local_attempts=local.attempts,
-        )
-        if not local.recovered:
-            return report
-
-        discarded, cascaded, rounds = self.cascade_from(
-            failing_node, set(local.reverted_seqs)
-        )
-        report.discarded_ops = discarded
-        report.cascaded_ops = cascaded
-        report.rounds = rounds
-
-        # every touched peer re-runs recovery over its final state
-        touched = {
-            nid
-            for op in discarded + cascaded
-            for nid in op.reverted_on
-            if nid != failing_node and not self.cluster.is_down(nid)
-        }
-        for node_id in touched:
-            peer = self.cluster.nodes[node_id]
-            peer.restart()
-            peer.recover()
-        return report
 
     # ------------------------------------------------------------------
     def cascade_from(
@@ -130,7 +50,9 @@ class DistributedReactor:
         mitigation reverted *on the failing node*.  Maps them to the
         client ops they discarded, reverts those ops' replica spans,
         then cascades orphans to a fixpoint.  Returns
-        ``(discarded, cascaded, rounds)``.
+        ``(discarded, cascaded, rounds)``.  The reverts mutate live
+        mirrors outside the delta stream; :meth:`ShardManager.cascade`
+        reports that to the cluster.
         """
         # every live mirror must be current before reverts — guest-level
         # mutations outside the delta stream — execute on it (no-op
@@ -158,10 +80,6 @@ class DistributedReactor:
                 self._revert_spans(orphan)
             cascaded.extend(orphans)
             frontier = orphans
-        if discarded or cascaded:
-            # the reverts mutated live mirrors out-of-band: the cached
-            # compaction base no longer matches them
-            self.cluster.note_out_of_band()
         return discarded, cascaded, rounds
 
     def catchup_reverts(self, node_id: int) -> int:
@@ -211,10 +129,6 @@ class DistributedReactor:
         # a trustworthy reference point on any node that applied it
         for node_id in op.spans:
             self.cluster.oracles[node_id].pop(op.key, None)
-
-    def _revert_op(self, op: OpRecord) -> None:
-        """Back-compat single-op entry: revert every live span."""
-        self._revert_spans(op)
 
     def _revert_op_on(self, op: OpRecord, node_id: int) -> None:
         """Revert one operation on one node by logical anti-entropy.

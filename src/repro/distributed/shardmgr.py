@@ -52,8 +52,8 @@ from typing import Dict, List, Optional, Set
 from repro import faultinject
 from repro.distributed.cluster import Cluster, OpRecord
 from repro.distributed.recovery import DistributedReactor
-from repro.harness.experiment import MitigationRun, _make_reexec, _mitigate_supervised
-from repro.harness.simclock import ReexecDelay, SimClock
+from repro.harness.experiment import MitigationRun, _mitigate_supervised
+from repro.harness.simclock import SimClock
 from repro.harness.supervisor import StepResult, with_crash_retries
 from repro.systems.common import ABSENT
 
@@ -216,7 +216,6 @@ class ShardManager:
         scenario,
         outcome,
         detector,
-        monitor=None,
         snapshotter=None,
         inject_plan=None,
         gate=None,
@@ -224,45 +223,28 @@ class ShardManager:
     ) -> MitigationRun:
         """Run the supervised degradation ladder on the sick node.
 
-        ``gate`` (a :class:`repro.reactor.server.WorkerGate`) chunks
-        the ladder through a thread turnstile so a serving thread can
-        interleave healthy-shard reads between mitigation chunks; the
-        hook rides ``ctx.yield_fn`` + the VM step hook exactly like the
+        ``detector`` observes every re-execution (with its leak monitor,
+        if the caller attached one).  ``gate`` (a
+        :class:`repro.reactor.server.WorkerGate`) chunks the ladder
+        through a thread turnstile so a serving thread can interleave
+        healthy-shard reads between mitigation chunks; the hook rides
+        ``ctx.yield_fn`` + the VM step hook exactly like the
         live-traffic server's cooperative mitigation.
         """
         journal = self.journal(node_id)
         if journal.done("mitigate"):
             return journal.completed["mitigate"]["run"]
-        adapter = ctx.adapter
         h = self.health[node_id]
         h.status = "mitigating"
-        mclock = mclock or SimClock()
-        delay = ReexecDelay(seed=self.seed * 13 + 5)
-        reexec = _make_reexec(ctx, scenario, detector, monitor)
-
-        installed = gate is not None
-        if installed:
-            ctx.yield_fn = gate.checkpoint
-            adapter.step_hook = gate.checkpoint
-            adapter.step_hook_every = 4000
-            if adapter.machine is not None:
-                adapter.machine.step_hook = gate.checkpoint
-                adapter.machine.step_hook_every = 4000
-        try:
+        with (
+            ctx.cooperative(gate.checkpoint, 4000)
+            if gate is not None else nullcontext()
+        ):
             run = _mitigate_supervised(
-                ctx, scenario, outcome, reexec, mclock, delay,
-                solution=self.solution, batch_size=1,
+                ctx, scenario, detector, outcome, self.solution, self.seed,
                 snapshotter=snapshotter, inject_plan=inject_plan,
-                max_crash_retries=self.max_crash_retries,
+                max_crash_retries=self.max_crash_retries, mclock=mclock,
             )
-        finally:
-            if installed:
-                ctx.yield_fn = None
-                adapter.step_hook = None
-                adapter.step_hook_every = 0
-                if adapter.machine is not None:
-                    adapter.machine.step_hook = None
-                    adapter.machine.step_hook_every = 0
 
         h.mitigations += 1
         h.attempts += run.attempts
@@ -448,7 +430,6 @@ class ShardManager:
         scenario,
         outcome,
         detector,
-        monitor=None,
         snapshotter=None,
         inject_plan=None,
         gate=None,
@@ -475,8 +456,8 @@ class ShardManager:
                 serve_between()
             run = self.mitigate(
                 node_id, ctx, scenario, outcome, detector,
-                monitor=monitor, snapshotter=snapshotter,
-                inject_plan=inject_plan, gate=gate, mclock=mclock,
+                snapshotter=snapshotter, inject_plan=inject_plan,
+                gate=gate, mclock=mclock,
             )
             report.run = run
             report.recovered = run.recovered

@@ -25,7 +25,7 @@ retries, followed by post-recovery verification.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
@@ -33,7 +33,6 @@ from repro import faultinject
 from repro.baselines.arckpt import ArCkpt
 from repro.baselines.pmcriu import PmCRIU
 from repro.detector.monitor import Detector, LeakMonitor, RunOutcome
-from repro.detector.signature import FailureSignature
 from repro.errors import InjectedCrash, Trap
 from repro.faults.registry import FaultScenario, scenario_by_id
 from repro.harness.simclock import OP_PERIOD, ReexecDelay, SimClock
@@ -79,6 +78,28 @@ class ExperimentContext:
         #: installs a throttled gate checkpoint here for the duration
         #: of a mitigation window
         self.yield_fn: Optional[Callable[[], None]] = None
+
+    @contextmanager
+    def cooperative(self, hook: Callable[[], None], every_steps: int):
+        """Install ``hook`` as the yield point for the ``with`` block.
+
+        It rides ``yield_fn`` (host-side mitigation loops) and the VM
+        step hook, fired every ``every_steps`` executed steps.  The step
+        hook goes on the adapter, which hands it to the fresh machine
+        every restart builds, and on the current machine.
+        """
+        def install(fn, every) -> None:
+            self.yield_fn = fn
+            for holder in (self.adapter, self.adapter.machine):
+                if holder is not None:
+                    holder.step_hook = fn
+                    holder.step_hook_every = every
+
+        install(hook, every_steps)
+        try:
+            yield
+        finally:
+            install(None, 0)
 
     def sample_keys(
         self, n: int, exclude: Optional[Callable[[int], bool]] = None
@@ -231,15 +252,7 @@ def run_experiment(
         checksum = ChecksumMonitor(adapter.pool)
         checksum.attach()
 
-    detector = Detector()
-    monitor: Optional[LeakMonitor] = None
-    if scenario.kind == "leak":
-        monitor = LeakMonitor(
-            adapter.allocator,
-            adapter.expected_item_words,
-            threshold_ratio=scenario.leak_ratio,
-        )
-        detector.set_leak_monitor(monitor)
+    detector = scenario_detector(ctx)
 
     pmcriu: Optional[PmCRIU] = None
     if solution == "pmcriu" or supervised:
@@ -279,17 +292,8 @@ def run_experiment(
     # ------------------------------------------------------------------
     # detection
     # ------------------------------------------------------------------
-    if inflight_fault is not None:
-        signature = FailureSignature.from_fault(inflight_fault)
-        detector.history.append(signature)
-        outcome = RunOutcome(ok=False, fault=inflight_fault, signature=signature)
-    else:
-        outcome = detector.observe(adapter.machine, lambda: scenario.manifest(ctx))
-        if outcome.ok and monitor is not None:
-            violation = monitor.check()
-            if violation is not None:
-                outcome = RunOutcome(ok=False, violation=violation)
-    if outcome.ok:
+    outcome = detect(ctx, detector, inflight_fault)
+    if outcome is None:
         return result  # the fault did not manifest with this seed
     result.manifested = True
     result.detection_fault = outcome.fault
@@ -308,33 +312,11 @@ def run_experiment(
     if detect_only:
         return result
 
-    # ------------------------------------------------------------------
-    # hard-fault confirmation: restart and watch it recur
-    # ------------------------------------------------------------------
-    adapter.restart()
-    confirm = detector.observe(
-        adapter.machine, lambda: (adapter.recover(), scenario.manifest(ctx))
-    )
-    if confirm.ok and monitor is not None:
-        violation = monitor.check()
-        confirm = (
-            RunOutcome(ok=False, violation=violation)
-            if violation is not None
-            else confirm
-        )
-    recurs = not confirm.ok
-    if confirm.signature is not None and outcome.signature is not None:
-        result.confirmed_hard = detector.is_potential_hard_failure(confirm.signature)
-    else:
-        result.confirmed_hard = recurs
+    result.confirmed_hard = confirm_hard(ctx, detector, outcome)
 
     # ------------------------------------------------------------------
     # mitigation
     # ------------------------------------------------------------------
-    mclock = SimClock()
-    delay = ReexecDelay(seed=seed * 13 + 5)
-    reexec = _make_reexec(ctx, scenario, detector, monitor)
-
     # the injection plan is armed around mitigation only: the probe and
     # verification phases below must observe recovery's real outcome
     inject_cm = (
@@ -343,10 +325,9 @@ def run_experiment(
     )
     with inject_cm:
         run = _mitigate_supervised(
-            ctx, scenario, outcome, reexec, mclock, delay,
-            solution=solution, batch_size=batch_size,
+            ctx, scenario, detector, outcome, solution, seed,
             snapshotter=pmcriu, inject_plan=inject_plan,
-            max_crash_retries=max_crash_retries,
+            max_crash_retries=max_crash_retries, batch_size=batch_size,
         )
 
     run.items_before = items_before
@@ -371,31 +352,56 @@ def _safe_count(adapter) -> int:
         return 0
 
 
-def _make_reexec(ctx, scenario, detector, monitor) -> Callable[[], RunOutcome]:
+# ----------------------------------------------------------------------
+# the fault pipeline: run_experiment, the live-traffic server and the
+# cluster sweep detect, confirm and mitigate through these functions
+# ----------------------------------------------------------------------
+def scenario_detector(ctx) -> Detector:
+    """A detector for ``ctx``'s scenario.  Leak faults get the PM usage
+    monitor, which :meth:`Detector.observe` consults after every
+    trap-free run."""
+    detector = Detector()
+    if ctx.scenario.kind == "leak":
+        detector.set_leak_monitor(LeakMonitor(
+            ctx.adapter.allocator,
+            ctx.adapter.expected_item_words,
+            threshold_ratio=ctx.scenario.leak_ratio,
+        ))
+    return detector
+
+
+def detect(
+    ctx, detector: Detector, inflight: Optional[FaultInfo] = None
+) -> Optional[RunOutcome]:
+    """The failure, or None when the fault has not manifested.
+
+    A trap that surfaced during regular traffic (``inflight``) is the
+    failure; otherwise the scenario's manifest probe runs observed.
+    """
+    if inflight is not None:
+        return detector.trapped(inflight)
+    outcome = detector.observe(
+        ctx.adapter.machine, lambda: ctx.scenario.manifest(ctx)
+    )
+    return None if outcome.ok else outcome
+
+
+def confirm_hard(ctx, detector: Detector, outcome: RunOutcome) -> bool:
+    """Restart and watch the failure recur (the hard-fault heuristic).
+
+    When both runs trapped, their signatures must be similar; a failure
+    without a signature (a leak or user-check violation) is hard when
+    the restarted run fails again.
+    """
     adapter = ctx.adapter
-
-    def reexec() -> RunOutcome:
-        adapter.restart()
-
-        def action() -> None:
-            adapter.recover()
-            scenario.verify(ctx)
-
-        try:
-            out = detector.observe(adapter.machine, action)
-        except AssertionError as exc:
-            # host-side symptom checks (wrong value, unexpected result)
-            # fail the re-execution without a guest fault instruction
-            return RunOutcome(ok=False, violation=str(exc) or "symptom check failed")
-        if not out.ok:
-            return out
-        if monitor is not None:
-            violation = monitor.check()
-            if violation is not None:
-                return RunOutcome(ok=False, violation=violation)
-        return out
-
-    return reexec
+    adapter.restart()
+    confirm = detector.observe(
+        adapter.machine,
+        lambda: (adapter.recover(), ctx.scenario.manifest(ctx)),
+    )
+    if confirm.signature is not None and outcome.signature is not None:
+        return detector.is_potential_hard_failure(confirm.signature)
+    return not confirm.ok
 
 
 def _make_rounds_runner(
@@ -506,15 +512,16 @@ def _make_rounds_runner(
 def _mitigate_supervised(
     ctx,
     scenario,
+    detector: Detector,
     outcome: RunOutcome,
-    reexec,
-    mclock: SimClock,
-    delay,
     solution: str,
-    batch_size: int,
-    snapshotter: Optional[PmCRIU],
-    inject_plan: Optional[faultinject.InjectionPlan],
-    max_crash_retries: int,
+    seed: int,
+    snapshotter: Optional[PmCRIU] = None,
+    inject_plan: Optional[faultinject.InjectionPlan] = None,
+    max_crash_retries: int = 6,
+    batch_size: int = 1,
+    mclock: Optional[SimClock] = None,
+    before_reexec: Optional[Callable[[], None]] = None,
     reactor_server: Optional[ReactorServer] = None,
 ) -> MitigationRun:
     """Crash-safe mitigation: retry with backoff, degrade down the ladder.
@@ -531,9 +538,13 @@ def _mitigate_supervised(
     With a ``snapshotter`` every ladder ends in the snapshot-restore rung
     (``pmcriu``'s only rung, the last resort of supervised runs).
 
-    An injected crash *inside a re-execution* surfaces as a guest fault
-    of kind ``injected-crash``; the strict reexec wrapper re-raises it so
-    the supervisor treats it as the process death it models.  Finishes
+    Every re-execution restarts the system, recovers and re-runs the
+    scenario's symptom check under ``detector``, after calling
+    ``before_reexec`` (the live server's turnstile); ``mclock`` (a fresh
+    clock by default) and a delay seeded from ``seed`` time it.  An
+    injected crash *inside a re-execution* surfaces as a guest fault of
+    kind ``injected-crash``; the re-execution re-raises it so the
+    supervisor treats it as the process death it models.  Finishes
     with verification — poolcheck, a checkpoint-checksum scan (corrupt
     versions are quarantined, never deserialized into reversion plans),
     and a durable-state digest — and, when every rung fails, a
@@ -545,9 +556,25 @@ def _mitigate_supervised(
     #: the rollback rung's intent journals, one per re-plan round
     intents: Dict[int, IntentJournal] = {}
     quarantined_total = 0
+    if mclock is None:
+        mclock = SimClock()
+    delay = ReexecDelay(seed=seed * 13 + 5)
 
-    def strict_reexec() -> RunOutcome:
-        out = reexec()
+    def reexec() -> RunOutcome:
+        if before_reexec is not None:
+            before_reexec()
+        adapter.restart()
+
+        def action() -> None:
+            adapter.recover()
+            scenario.verify(ctx)
+
+        try:
+            out = detector.observe(adapter.machine, action)
+        except AssertionError as exc:
+            # host-side symptom checks (wrong value, unexpected result)
+            # fail the re-execution without a guest fault instruction
+            return RunOutcome(ok=False, violation=str(exc) or "symptom check failed")
         if out.fault is not None and \
                 getattr(out.fault, "kind", "") == "injected-crash":
             raise InjectedCrash(
@@ -582,7 +609,7 @@ def _mitigate_supervised(
     if solution in _ARTHAS_MODES and scenario.kind != "leak" \
             and outcome.fault is not None:
         rounds = _make_rounds_runner(
-            ctx, strict_reexec, mclock, delay, batch_size,
+            ctx, reexec, mclock, delay, batch_size,
             server=reactor_server,
         )
         seen_faults = {outcome.fault.iid}
@@ -619,7 +646,7 @@ def _mitigate_supervised(
             )
             freed = mitigate_leak(adapter.allocator, leaked, confirm=True)
             mclock.advance(delay())
-            out = strict_reexec()
+            out = reexec()
             run.attempts += 1
             run.leaked_blocks = len(leaked)
             run.notes = f"freed {freed} leaked words in {len(leaked)} blocks"
@@ -629,7 +656,7 @@ def _mitigate_supervised(
         def arckpt_step() -> StepResult:
             scan_log()
             mres = ArCkpt(log, adapter.pool, adapter.allocator).mitigate(
-                strict_reexec, clock=mclock, reexec_delay=delay,
+                reexec, clock=mclock, reexec_delay=delay,
                 timeout_seconds=MITIGATION_TIMEOUT,
             )
             run.attempts += mres.attempts
@@ -643,7 +670,7 @@ def _mitigate_supervised(
     if snapshotter is not None:
         def snapshot_step() -> StepResult:
             mres = snapshotter.mitigate(
-                strict_reexec, clock=mclock, reexec_delay=delay,
+                reexec, clock=mclock, reexec_delay=delay,
                 timeout_seconds=MITIGATION_TIMEOUT,
             )
             run.attempts += mres.attempts

@@ -12,15 +12,15 @@ Given a fault instruction, the reactor:
 5. mitigates persistent leaks by diffing checkpoint-log liveness against
    PM objects the recovery function touches (:mod:`repro.reactor.leakfix`).
 
-:mod:`repro.reactor.server` provides the client/server split of the
-paper's Section 5: the PDG is computed ahead of failure so mitigation
+:mod:`repro.reactor.server` provides the server half of the paper's
+Section 5 client/server split: the PDG is computed ahead of failure so mitigation
 latency only pays for slicing.
 """
 
 from repro.reactor.leakfix import find_leaked_objects, mitigate_leak
 from repro.reactor.plan import Candidate, ReversionPlan, compute_plan
 from repro.reactor.revert import MitigationResult, Reverter
-from repro.reactor.server import ReactorClient, ReactorServer
+from repro.reactor.server import ReactorServer
 
 __all__ = [
     "Candidate",
@@ -29,7 +29,6 @@ __all__ = [
     "MitigationResult",
     "Reverter",
     "ReactorServer",
-    "ReactorClient",
     "find_leaked_objects",
     "mitigate_leak",
 ]

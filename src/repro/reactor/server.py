@@ -4,8 +4,8 @@ Computing the static PDG and pointer analysis can take a long time, so
 the paper runs the reactor as a server that precomputes the PDG as soon
 as the target code is available and parses the PM trace incrementally; a
 thin RPC client invokes it at failure time and only pays the (fast)
-slicing cost.  :class:`ReactorServer` / :class:`ReactorClient` model
-that split in-process.
+slicing cost.  :class:`ReactorServer` models that split in-process; its
+callers invoke :meth:`ReactorServer.compute_plan` directly.
 
 The rest of the module is the **live-traffic recovery server**: an
 asyncio front-end that keeps serving a sustained YCSB stream against a
@@ -46,12 +46,11 @@ import time
 from bisect import bisect_left, bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis import AnalysisResult, analyze_module
 from repro.checkpoint.log import CheckpointLog
 from repro.detector.monitor import RunOutcome
-from repro.detector.signature import FailureSignature
 from repro.errors import Trap
 from repro.instrument.guids import GuidMap
 from repro.instrument.tracer import PMTrace
@@ -101,23 +100,6 @@ class ReactorServer:
             self.analysis, guid_map, trace, log, fault_iid, policy=policy,
             yield_fn=yield_fn,
         )
-
-
-class ReactorClient:
-    """Thin stand-in for the paper's RPC client."""
-
-    def __init__(self, server: ReactorServer):
-        self.server = server
-
-    def request_mitigation_plan(
-        self,
-        guid_map: GuidMap,
-        trace: PMTrace,
-        log: CheckpointLog,
-        fault_iid: int,
-        policy: Optional[PolicyFn] = None,
-    ) -> ReversionPlan:
-        return self.server.compute_plan(guid_map, trace, log, fault_iid, policy)
 
 
 # ======================================================================
@@ -367,9 +349,12 @@ class LiveRecoveryServer:
         # imported here, not at module scope: harness.experiment imports
         # ReactorServer from this module
         from repro.baselines.pmcriu import PmCRIU
-        from repro.detector.monitor import Detector, LeakMonitor
         from repro.faults.registry import scenario_by_id
-        from repro.harness.experiment import SNAPSHOT_INTERVAL, ExperimentContext
+        from repro.harness.experiment import (
+            SNAPSHOT_INTERVAL,
+            ExperimentContext,
+            scenario_detector,
+        )
         from repro.harness.simclock import OP_PERIOD
 
         self._op_period = OP_PERIOD
@@ -404,15 +389,7 @@ class LiveRecoveryServer:
         )
         self.adapter.start()
         self.ctx = ExperimentContext(self.adapter, self.scenario, seed)
-        self.detector = Detector()
-        self.monitor: Optional[LeakMonitor] = None
-        if self.scenario.kind == "leak":
-            self.monitor = LeakMonitor(
-                self.adapter.allocator,
-                self.adapter.expected_item_words,
-                threshold_ratio=self.scenario.leak_ratio,
-            )
-            self.detector.set_leak_monitor(self.monitor)
+        self.detector = scenario_detector(self.ctx)
         self.snapshotter = PmCRIU(
             self.adapter.pool, self.adapter.allocator, SNAPSHOT_INTERVAL
         )
@@ -490,26 +467,6 @@ class LiveRecoveryServer:
         return rec
 
     # ------------------------------------------------------------------
-    # detection (in-line on the request path)
-    # ------------------------------------------------------------------
-    def _probe(self) -> Optional[RunOutcome]:
-        """Deterministic detection probe between requests."""
-        outcome = self.detector.observe(
-            self.adapter.machine, lambda: self.scenario.manifest(self.ctx)
-        )
-        if outcome.ok and self.monitor is not None:
-            violation = self.monitor.check()
-            if violation is not None:
-                outcome = RunOutcome(ok=False, violation=violation)
-        return None if outcome.ok else outcome
-
-    def _inflight_outcome(self) -> RunOutcome:
-        fault = self.adapter.machine.last_fault
-        signature = FailureSignature.from_fault(fault)
-        self.detector.history.append(signature)
-        return RunOutcome(ok=False, fault=fault, signature=signature)
-
-    # ------------------------------------------------------------------
     # quarantine derivation (plan cuts -> word ranges -> keys)
     # ------------------------------------------------------------------
     def _lock_plan_ranges(self, log: CheckpointLog, plan: ReversionPlan) -> None:
@@ -551,6 +508,7 @@ class LiveRecoveryServer:
     async def run(
         self, n_requests: int, arrival_period_s: float = 0.0005
     ) -> dict:
+        from repro.harness.experiment import detect
         from repro.harness.supervisor import pool_digest
 
         loop = asyncio.get_running_loop()
@@ -581,15 +539,19 @@ class LiveRecoveryServer:
                 await asyncio.sleep(delay)
             rec = self._serve_request(idx, ops[idx], arrival)
             idx += 1
+            # detection, in-line on the request path: a request that
+            # trapped, else a deterministic probe between requests
             outcome = None
             if rec.status == "fault":
-                outcome = self._inflight_outcome()
+                outcome = detect(
+                    self.ctx, self.detector, self.adapter.machine.last_fault
+                )
             elif (
                 self._triggered
                 and not self._detected_ever
                 and idx % self.detect_every == 0
             ):
-                outcome = self._probe()
+                outcome = detect(self.ctx, self.detector)
             if outcome is not None:
                 if self._mitigations >= self.max_mitigations:
                     self._unavailable = True
@@ -757,14 +719,12 @@ class LiveRecoveryServer:
 
     def _mitigate_blocking(self, gate: WorkerGate, outcome: RunOutcome):
         """Worker-thread body: confirm, derive quarantine, mitigate."""
-        adapter = self.adapter
-
         # park inside long guest calls too: the VM fires this hook every
         # ``yield_every_steps`` executed steps, so even a full 400k-step
         # hang probe (confirmation, failed re-execution verifies) is
         # chunked into millisecond slices instead of one quarter-second
         # stall.  Installed on the adapter (not the machine) because
-        # every restart builds a fresh machine.  Cleared in the finally:
+        # every restart builds a fresh machine.  Cleared on exit:
         # after this window the event loop itself runs guest calls, and
         # a checkpoint from the loop thread would deadlock.
         # host-side mitigation loops (probe-engine seeks, plan joins)
@@ -780,33 +740,15 @@ class LiveRecoveryServer:
                 last_yield[0] = now
                 gate.checkpoint()
 
-        adapter.step_hook = throttled_yield
-        adapter.step_hook_every = self.yield_every_steps
-        if adapter.machine is not None:
-            adapter.machine.step_hook = throttled_yield
-            adapter.machine.step_hook_every = self.yield_every_steps
-        self.ctx.yield_fn = throttled_yield
-        try:
+        with self.ctx.cooperative(throttled_yield, self.yield_every_steps):
             return self._mitigate_body(gate, outcome)
-        finally:
-            self.ctx.yield_fn = None
-            adapter.step_hook = None
-            adapter.step_hook_every = 0
-            if adapter.machine is not None:
-                adapter.machine.step_hook = None
-                adapter.machine.step_hook_every = 0
 
     def _mitigate_body(self, gate: WorkerGate, outcome: RunOutcome):
         """Confirm the fault, derive the quarantine, run mitigation."""
         from repro import faultinject
-        from repro.harness.experiment import (
-            _make_reexec,
-            _mitigate_supervised,
-        )
-        from repro.harness.simclock import ReexecDelay, SimClock
+        from repro.harness.experiment import _mitigate_supervised, confirm_hard
 
         adapter = self.adapter
-        scenario = self.scenario
         ctx = self.ctx
         gate.checkpoint()
 
@@ -828,41 +770,20 @@ class LiveRecoveryServer:
         self._quarantine_ready = True
         gate.checkpoint()
 
-        # hard-fault confirmation: restart and watch it recur
-        adapter.restart()
-        confirm = self.detector.observe(
-            adapter.machine, lambda: (adapter.recover(), scenario.manifest(ctx))
-        )
-        if confirm.ok and self.monitor is not None:
-            violation = self.monitor.check()
-            if violation is not None:
-                confirm = RunOutcome(ok=False, violation=violation)
-        if confirm.signature is not None and outcome.signature is not None:
-            self.confirmed_hard = self.detector.is_potential_hard_failure(
-                confirm.signature
-            )
-        else:
-            self.confirmed_hard = not confirm.ok
+        self.confirmed_hard = confirm_hard(ctx, self.detector, outcome)
         gate.checkpoint()
-
-        mclock = SimClock()
-        delay = ReexecDelay(seed=self.seed * 13 + 5)
-        base_reexec = _make_reexec(ctx, scenario, self.detector, self.monitor)
-
-        def gated_reexec() -> RunOutcome:
-            gate.checkpoint()
-            return base_reexec()
 
         inject_cm = (
             faultinject.activate(self.inject_plan)
             if self.inject_plan is not None else nullcontext()
         )
         with inject_cm:
+            # an un-throttled checkpoint before every re-execution
             run = _mitigate_supervised(
-                ctx, scenario, outcome, gated_reexec, mclock, delay,
-                solution=self.solution, batch_size=1,
-                snapshotter=self.snapshotter, inject_plan=self.inject_plan,
-                max_crash_retries=6, reactor_server=self.reactor,
+                ctx, self.scenario, self.detector, outcome, self.solution,
+                self.seed, snapshotter=self.snapshotter,
+                inject_plan=self.inject_plan, before_reexec=gate.checkpoint,
+                reactor_server=self.reactor,
             )
         self.digest_after_mitigation = run.pool_digest
         self.mitigation_runs.append(run)

@@ -104,6 +104,25 @@ class TestLeakMonitor:
         monitor = LeakMonitor(allocator, lambda: 110, usage_limit=0.9)
         assert monitor.check() is not None
 
+    def test_observe_consults_attached_monitor(self):
+        # the contract the harness relies on: a trap-free observe with a
+        # monitor attached already carries the monitor's verdict, so no
+        # caller re-checks the pool after it
+        machine = Machine(compile_module("t", "def ok():\n    return 1\n"))
+        allocator = PMAllocator(PMPool(1024))
+        allocator.zalloc(10)
+        monitor = LeakMonitor(allocator, lambda: 10, threshold_ratio=2.0)
+        detector = Detector()
+        detector.set_leak_monitor(monitor)
+        under = detector.observe(machine, lambda: machine.call("ok"))
+        assert under.ok and under.violation is None
+        for _ in range(3):
+            allocator.zalloc(10)  # leaked: expected stays 10
+        over = detector.observe(machine, lambda: machine.call("ok"))
+        assert not over.ok and over.fault is None
+        assert over.violation == monitor.check()
+        assert over.violation.startswith("PM usage 40 words vs 10 expected")
+
 
 class TestChecksum:
     def test_detects_out_of_band_flip(self):

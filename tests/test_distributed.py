@@ -1,5 +1,7 @@
 """Tests for the distributed recovery extension (paper Section 7)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.detector.monitor import Detector
@@ -12,6 +14,8 @@ from repro.distributed.cluster import (
     vc_merge,
 )
 from repro.distributed.recovery import DistributedReactor
+from repro.distributed.shardmgr import ShardManager
+from repro.harness.experiment import ExperimentContext
 from repro.systems.common import ABSENT
 
 _ClusterImpl = Cluster
@@ -246,6 +250,13 @@ def _poisoned_cluster():
     return cluster, poison_op, (dep1, dep2), indep, probe
 
 
+def _heal_inputs(node, verify):
+    """``ShardManager.mitigate``'s context and scenario for a hand-made
+    fault: a stand-in scenario whose symptom check is ``verify()``."""
+    scenario = SimpleNamespace(kind="trap", verify=lambda ctx: verify())
+    return ExperimentContext(node, scenario, 0), scenario
+
+
 class TestDistributedRecovery:
     def test_cascading_recovery(self):
         cluster, poison_op, deps, indep, probe = _poisoned_cluster()
@@ -256,17 +267,19 @@ class TestDistributedRecovery:
         )
         assert not outcome.ok and outcome.fault.kind == "hang"
 
-        reactor = DistributedReactor(cluster)
+        mgr = ShardManager(cluster)
 
         def verify():
             assert node0.lookup(probe) == ABSENT
 
-        report = reactor.mitigate(0, outcome.fault.iid, verify)
-        assert report.recovered
+        ctx, scenario = _heal_inputs(node0, verify)
+        run = mgr.mitigate(0, ctx, scenario, outcome, detector)
+        assert run.recovered
+        discarded, cascaded, _rounds = mgr.cascade(0, run)
         # the poisoned insert was discarded locally
-        assert any(op.op_id == poison_op.op_id for op in report.discarded_ops)
+        assert any(op.op_id == poison_op.op_id for op in discarded)
         # its causal dependents on other nodes were cascaded
-        cascaded_ids = {op.op_id for op in report.cascaded_ops}
+        cascaded_ids = {op.op_id for op in cascaded}
         assert deps[0].op_id in cascaded_ids
         assert deps[1].op_id in cascaded_ids
         # ...and are gone from their nodes
@@ -295,11 +308,11 @@ class TestDistributedRecovery:
         )
         assert not outcome.ok
         deps[0].vc = deps[0].vc + (0,)
-        reactor = DistributedReactor(cluster)
+        mgr = ShardManager(cluster)
+        ctx, scenario = _heal_inputs(node0, lambda: None)
+        run = mgr.mitigate(0, ctx, scenario, outcome, detector)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            reactor.mitigate(
-                0, outcome.fault.iid, lambda: None
-            )
+            mgr.cascade(0, run)
 
 
 class TestMixedTopologies:

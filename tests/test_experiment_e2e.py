@@ -191,10 +191,11 @@ def test_committed_matrix_inconsistent_cells_are_known():
 
 #: a fast slice of the committed matrix: every solution column and every
 #: fault family, including one known-inconsistent cell (f24/arthas-bi)
+#: and a leak cell whose detector runs the guest-side leak monitor (f8)
 PINNED_CELLS = (
     ("f1", "arthas"), ("f17", "arthas"), ("f2", "arthas-bi"),
     ("f24", "arthas-bi"), ("f22", "arthas-rb"), ("f21", "arckpt"),
-    ("f24", "pmcriu"),
+    ("f24", "pmcriu"), ("f8", "arthas"),
 )
 
 PINNED_FIELDS = (

@@ -9,7 +9,7 @@ from repro.instrument.tracer import PMTrace
 from repro.lang.compiler import compile_module
 from repro.lang.interp import Machine
 from repro.reactor.plan import compute_plan, default_policy, distance_policy
-from repro.reactor.server import ReactorClient, ReactorServer
+from repro.reactor.server import ReactorServer
 
 #: a program where a bad persisted flag causes a later panic
 SRC = '''
@@ -124,7 +124,6 @@ def test_reactor_server_precomputes_analysis():
     module = compile_module("p2", SRC, structs=STRUCTS)
     server = ReactorServer(module)
     assert server.analysis_seconds >= 0
-    client = ReactorClient(server)
     machine = Machine(module)
     manager = CheckpointManager(machine.pool, machine.allocator, machine.txman)
     manager.attach()
@@ -136,9 +135,7 @@ def test_reactor_server_precomputes_analysis():
     machine.call("poke", root, 1)
     detector = Detector()
     out = detector.observe(machine, lambda: machine.call("use", root))
-    plan = client.request_mitigation_plan(
-        guid_map, trace, manager.log, out.fault.iid
-    )
+    plan = server.compute_plan(guid_map, trace, manager.log, out.fault.iid)
     assert not plan.empty
     assert server.requests_served == 1
     assert plan.slicing_seconds >= 0
