@@ -21,7 +21,7 @@ program chose, which is what makes rollback consistent (Section 4.6).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import faultinject
 from repro.errors import InjectedCrash, PoolError
@@ -64,14 +64,16 @@ class PMPool:
         #: explicit (addr, nwords, tag) ranges awaiting the next fence
         self._pending_ranges: List[Tuple[int, int, str]] = []
         self._persist_hooks: List[PersistHook] = []
-        #: open dirty-word epochs: token -> {addr: durable pre-image},
-        #: where ``None`` means the word had no durable entry at all
-        #: (distinct from an explicit 0, so undo restores the exact
-        #: representation byte-for-byte).  Insertion order is open order;
-        #: undo must be LIFO.  Empty in normal operation, so the hot
-        #: persist path pays one truthiness check per durable word (see
-        #: :meth:`open_epoch`).
-        self._epoch_preimages: Dict[int, Dict[int, Optional[int]]] = {}
+        #: open dirty-word epochs, token -> :class:`_Epoch`.  Insertion
+        #: order is open order; undo must be LIFO.  A pre-image is
+        #: recorded in the *innermost* epoch only and handed to the
+        #: next-older one when its holder leaves, so an epoch's dirty set
+        #: is its own words plus those of every newer open epoch.
+        self._epochs: Dict[int, _Epoch] = {}
+        #: the innermost epoch's ``pre`` dict, or None with no epoch
+        #: open: the hot persist path pays one ``is not None`` check per
+        #: durable word
+        self._epoch_top: Optional[Dict[int, Optional[int]]] = None
         self._epoch_next = 1
         # statistics used by the overhead model and tests
         self.stats = {
@@ -186,23 +188,7 @@ class PMPool:
             self.stats["skipped_fences"] += 1
             return
         self.stats["fences"] += 1
-        epochs = self._epoch_preimages
-        for line in self._staged_lines:
-            base = line * WORDS_PER_LINE
-            for addr in range(base, base + WORDS_PER_LINE):
-                if addr in self._cache:
-                    if epochs:
-                        self._note_dirty(addr)
-                    value = self._cache.pop(addr)
-                    # canonical sparse image: zero means entry absent,
-                    # matching durable_write — so a physically
-                    # replicated pool is byte-comparable to an
-                    # executed one
-                    if value == 0:
-                        self._durable.pop(addr, None)
-                    else:
-                        self._durable[addr] = value
-                    self.stats["persisted_words"] += 1
+        self._write_back(self._staged_lines)
         self._staged_lines.clear()
         pending, self._pending_ranges = self._pending_ranges, []
         for addr, nwords, tag in pending:
@@ -226,22 +212,37 @@ class PMPool:
         lines = sorted(self._staged_lines)
         rng = random.Random((spec.seed << 16) ^ len(lines))
         keep = rng.randrange(1, len(lines)) if len(lines) > 1 else 0
-        for line in lines[:keep]:
-            base = line * WORDS_PER_LINE
-            for addr in range(base, base + WORDS_PER_LINE):
-                if addr in self._cache:
-                    if self._epoch_preimages:
-                        self._note_dirty(addr)
-                    value = self._cache.pop(addr)
-                    if value == 0:
-                        self._durable.pop(addr, None)
-                    else:
-                        self._durable[addr] = value
-                    self.stats["persisted_words"] += 1
+        self._write_back(lines[:keep])
         raise InjectedCrash(
             f"torn fence: {keep} of {len(lines)} staged line(s) persisted",
             location="pmem.fence",
         )
+
+    def _write_back(self, lines: Iterable[int]) -> None:
+        """Move the buffered words of ``lines`` into durable storage.
+
+        The one cache-to-durable loop, shared by :meth:`fence` and
+        :meth:`_torn_fence`.  Stores the canonical sparse image: zero
+        means the entry is absent, matching :meth:`durable_write` — so
+        a physically replicated pool is byte-comparable to an executed
+        one.
+        """
+        cache, durable = self._cache, self._durable
+        top = self._epoch_top
+        persisted = 0
+        for line in lines:
+            base = line * WORDS_PER_LINE
+            for addr in range(base, base + WORDS_PER_LINE):
+                if addr in cache:
+                    if top is not None and addr not in top:
+                        top[addr] = durable.get(addr)
+                    value = cache.pop(addr)
+                    if value == 0:
+                        durable.pop(addr, None)
+                    else:
+                        durable[addr] = value
+                    persisted += 1
+        self.stats["persisted_words"] += persisted
 
     def persist(self, addr: int, nwords: int = 1, tag: str = "persist") -> None:
         """``pmem_persist`` equivalent: flush the range and fence."""
@@ -277,7 +278,7 @@ class PMPool:
         restore) — never by the guest program.
         """
         self._check(addr)
-        if self._epoch_preimages:
+        if self._epoch_top is not None:
             self._note_dirty(addr)
         if value == 0:
             self._durable.pop(addr, None)
@@ -299,9 +300,11 @@ class PMPool:
         self._check(min(words))
         self._check(max(words))
         durable = self._durable
-        if self._epoch_preimages:
+        top = self._epoch_top
+        if top is not None:
             for addr, value in words.items():
-                self._note_dirty(addr)
+                if addr not in top:
+                    top[addr] = durable.get(addr)
                 if value == 0:
                     durable.pop(addr, None)
                 else:
@@ -331,11 +334,13 @@ class PMPool:
         """Replace the durable image wholesale (snapshot restore)."""
         for addr in items:
             self._check(addr)
-        if self._epoch_preimages:
+        if self._epoch_top is not None:
             # record the full diff so open epochs stay undoable — the
-            # wholesale replacement is O(pool) anyway
+            # wholesale replacement is O(pool) anyway.  An explicit 0
+            # turning absent (or back) is a change too: undo restores
+            # the exact representation
             for addr in set(self._durable) | set(items):
-                if self._durable.get(addr, 0) != items.get(addr, 0):
+                if self._durable.get(addr) != items.get(addr):
                     self._note_dirty(addr)
         self._durable = dict(items)
         self._cache.clear()
@@ -346,18 +351,72 @@ class PMPool:
     # dirty-word epochs (incremental snapshots)
     # ------------------------------------------------------------------
     def _note_dirty(self, addr: int) -> None:
-        """Record ``addr``'s durable pre-image in every open epoch.
+        """Record ``addr``'s durable pre-image in the innermost epoch.
 
-        First write wins per epoch: the stored value is what the word
-        held when the epoch opened (or when it was first touched after),
-        which is exactly what :meth:`epoch_undo` must write back.  A
-        word with no durable entry records ``None`` so undo can remove
-        the entry again rather than leave an explicit 0 behind.
+        First write wins: the stored value is what the word held when
+        the epoch opened (or when it was first touched after), which is
+        exactly what :meth:`epoch_undo` must write back.  Older epochs
+        are not touched: they receive the record when this epoch leaves
+        (:meth:`_leave`), so a write costs O(1) at any nesting depth.
         """
-        durable = self._durable
-        for pre in self._epoch_preimages.values():
-            if addr not in pre:
-                pre[addr] = durable.get(addr)
+        top = self._epoch_top
+        if addr not in top:
+            top[addr] = self._durable.get(addr)
+
+    def _leave(self, token: int, undone: bool) -> None:
+        """Remove an open epoch and fold it into the next-older one.
+
+        If the epoch was undone, its words now hold their pre-images,
+        which for the older epoch are its own pre-images too (nothing
+        touched them in between), so they join the older epoch's
+        ``clean`` set.  Otherwise its pre-images join the older
+        ``pre``, the older record winning a collision: it was taken
+        earlier.  The smaller side is always folded into the larger, so
+        leaving a deep stack costs O(words log depth) in total.
+        """
+        epochs = self._epochs
+        older: Optional[int] = None
+        if token == next(reversed(epochs)):
+            gone = epochs.pop(token)
+            if epochs:
+                older = next(reversed(epochs))
+        else:
+            for t in epochs:
+                if t == token:
+                    break
+                older = t
+            gone = epochs.pop(token)
+        if older is not None:
+            into = epochs[older]
+            if undone:
+                gone.clean.update(gone.pre)
+            elif len(into.pre) >= len(gone.pre):
+                for addr, value in gone.pre.items():
+                    if addr not in into.pre:
+                        into.pre[addr] = value
+            else:
+                gone.pre.update(into.pre)
+                into.pre = gone.pre
+            if len(into.clean) >= len(gone.clean):
+                into.clean |= gone.clean
+            else:
+                gone.clean |= into.clean
+                into.clean = gone.clean
+        self._epoch_top = epochs[next(reversed(epochs))].pre if epochs else None
+
+    def _epoch_words(self, token: int) -> Iterable[int]:
+        """Every word mutated since ``token`` opened: its own ``pre``
+        and ``clean`` words plus those of every newer open epoch."""
+        epochs = self._epochs
+        ep = epochs[token]
+        if not ep.clean and token == next(reversed(epochs)):
+            return ep.pre
+        tokens = list(epochs)
+        words: Dict[int, None] = {}
+        for t in tokens[tokens.index(token):]:
+            words.update(dict.fromkeys(epochs[t].pre))
+            words.update(dict.fromkeys(epochs[t].clean))
+        return words
 
     def open_epoch(self) -> int:
         """Open a dirty-word tracking epoch; returns an opaque token.
@@ -372,12 +431,16 @@ class PMPool:
         """
         token = self._epoch_next
         self._epoch_next += 1
-        self._epoch_preimages[token] = {}
+        ep = self._epochs[token] = _Epoch()
+        self._epoch_top = ep.pre
         return token
 
     def epoch_dirty_words(self, token: int) -> int:
         """Number of distinct durable words mutated since the epoch opened."""
-        return len(self._epoch_preimages[token])
+        epochs = self._epochs
+        if token != next(reversed(epochs)):
+            return len(self._epoch_words(token))
+        return epochs[token].size()
 
     def epoch_undo(self, token: int, close: bool = True) -> int:
         """Rewrite the epoch's dirty words back to their pre-images.
@@ -387,37 +450,43 @@ class PMPool:
         epochs' base states).  With ``close=False`` the epoch stays open
         with an empty dirty set: the pool now *is* the epoch state, so
         tracking simply continues from here.  Returns the number of
-        words rewritten.  Restores are recorded into the remaining older
-        epochs (first-write-wins makes most of that a no-op), keeping
-        them undoable in turn.
+        distinct words mutated since the epoch opened.  Only the
+        epoch's ``pre`` words are rewritten — words a newer epoch's undo
+        already put back are ``clean`` — so the cost follows the words
+        this epoch itself dirtied, whatever the nesting depth.
         """
-        if token not in self._epoch_preimages:
+        epochs = self._epochs
+        if token not in epochs:
             raise PoolError(f"unknown or closed epoch {token}")
-        newest = next(reversed(self._epoch_preimages))
+        newest = next(reversed(epochs))
         if token != newest:
             raise PoolError(
                 f"epoch undo must be LIFO: {token} is not the newest "
                 f"open epoch ({newest})"
             )
-        pre = self._epoch_preimages.pop(token)
+        ep = epochs[token]
+        undone = ep.size()
         durable = self._durable
-        others = self._epoch_preimages
-        for addr, value in pre.items():
-            if others:
-                for other in others.values():
-                    if addr not in other:
-                        other[addr] = durable.get(addr)
+        for addr, value in ep.pre.items():
             if value is None:
                 durable.pop(addr, None)
             else:
                 durable[addr] = value
+        self._leave(token, undone=True)
         if not close:
-            self._epoch_preimages[token] = {}
-        return len(pre)
+            ep = epochs[token] = _Epoch()
+            self._epoch_top = ep.pre
+        return undone
 
     def close_epoch(self, token: int) -> None:
-        """Stop tracking an epoch without restoring (keep current state)."""
-        self._epoch_preimages.pop(token, None)
+        """Stop tracking an epoch without restoring (keep current state).
+
+        Any open epoch may be closed, not only the newest; its words
+        pass to the next-older epoch, whose dirty set still covers them.
+        Closing an unknown or already closed token is a no-op.
+        """
+        if token in self._epochs:
+            self._leave(token, undone=False)
 
     def capture_epoch_delta(self, token: int) -> Dict[int, int]:
         """Close an epoch and return its word delta as ``addr -> post``.
@@ -430,12 +499,37 @@ class PMPool:
         image exactly.  This is the physical-replication capture: the
         replica gets the delta, not the computation.
         """
-        if token not in self._epoch_preimages:
+        if token not in self._epochs:
             raise PoolError(f"unknown or closed epoch {token}")
         durable = self._durable
-        delta = {
-            addr: durable.get(addr, 0)
-            for addr in self._epoch_preimages[token]
-        }
-        self.close_epoch(token)
+        delta = {addr: durable.get(addr, 0) for addr in self._epoch_words(token)}
+        self._leave(token, undone=False)
         return delta
+
+
+class _Epoch:
+    """One open dirty-word epoch of a :class:`PMPool`.
+
+    ``pre`` maps each word this epoch must rewrite on undo to its
+    durable pre-image, where ``None`` means the word had no durable
+    entry at all (distinct from an explicit 0, so undo restores the
+    exact representation byte-for-byte).  ``clean`` holds words mutated
+    since the epoch opened that a newer epoch's undo already put back to
+    this epoch's pre-image: they count towards the dirty set but need no
+    rewrite.  A word may sit in both.
+    """
+
+    __slots__ = ("pre", "clean")
+
+    def __init__(self) -> None:
+        self.pre: Dict[int, Optional[int]] = {}
+        self.clean: Set[int] = set()
+
+    def size(self) -> int:
+        """Distinct words in ``pre`` and ``clean`` together."""
+        small, large = self.pre, self.clean
+        if not large:
+            return len(small)
+        if len(small) > len(large):
+            small, large = large, small
+        return len(large) + sum(1 for addr in small if addr not in large)

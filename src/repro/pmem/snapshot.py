@@ -73,7 +73,7 @@ class EpochSnapshot:
     label: str = ""
 
     def dirty_words(self, pool: PMPool) -> int:
-        """Words mutated since the snapshot (the restore cost)."""
+        """Words mutated since the snapshot (bounds the restore cost)."""
         return pool.epoch_dirty_words(self.epoch)
 
 

@@ -34,6 +34,8 @@ from repro.pmem.snapshot import restore_snapshot, take_snapshot
 from repro.reactor.plan import Candidate, ReversionPlan
 
 ReexecFn = Callable[[], RunOutcome]
+#: a candidate's forward-dependent update seqs; a function of the
+#: candidate's ``slice_iid`` alone (the forward pass calls it once per node)
 ForwardSeqsFn = Callable[[Candidate], Set[int]]
 
 
@@ -696,13 +698,23 @@ class Reverter:
         Only *value updates* are purged forward; free/alloc events are
         left alone (undoing frees is rollback-mode territory), which is
         the source of the purge mode's rare semantic inconsistencies.
+
+        ``forward_seqs_fn`` depends only on a candidate's slice node, and
+        neither the log nor the trace changes inside the pass, so it is
+        called once per distinct ``slice_iid`` (bisect passes one
+        candidate per group, many sharing a node).
         """
         if self.forward_seqs_fn is None:
             return 0
+        done = set(result.reverted_seqs)
         extra: Set[int] = set()
+        slice_iids: Set[int] = set()
         for cand in cands:
+            if cand.slice_iid in slice_iids:
+                continue
+            slice_iids.add(cand.slice_iid)
             for dep_seq in self.forward_seqs_fn(cand):
-                if dep_seq > cut and dep_seq not in result.reverted_seqs:
+                if dep_seq > cut and dep_seq not in done:
                     extra.add(dep_seq)
         reverted = 0
         for s in sorted(extra, reverse=True):

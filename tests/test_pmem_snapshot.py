@@ -129,6 +129,34 @@ def test_epoch_undo_keep_open_continues_tracking(pool):
     assert pool.read(addr) == 0
 
 
+def test_epoch_undo_restores_explicit_zero_after_wholesale_load(pool):
+    """``load_durable`` turning an explicit 0 entry absent is a durable
+    change: undo brings the entry back, not just the value."""
+    addr = PM_BASE + 30
+    pool.load_durable({addr: 0})
+    outer = pool.open_epoch()
+    inner = pool.open_epoch()
+    pool.load_durable({})
+    pool.epoch_undo(inner, close=False)
+    assert pool.durable_items() == {addr: 0}
+    pool.load_durable({})
+    assert pool.epoch_undo(inner) == 1
+    assert pool.epoch_undo(outer) == 1
+    assert pool.durable_items() == {addr: 0}
+
+
+def test_closing_newer_epoch_keeps_older_pre_image(pool):
+    addr = PM_BASE + 40
+    outer = pool.open_epoch()
+    pool.durable_write(addr, 1)
+    inner = pool.open_epoch()
+    pool.durable_write(addr, 2)
+    pool.close_epoch(inner)
+    assert pool.epoch_dirty_words(outer) == 1
+    pool.epoch_undo(outer)
+    assert pool.durable_items() == {}
+
+
 def test_epoch_snapshot_captures_allocator_meta(pool, allocator):
     a = allocator.zalloc(4)
     snap = take_epoch_snapshot(pool, allocator)
@@ -137,3 +165,159 @@ def test_epoch_snapshot_captures_allocator_meta(pool, allocator):
     restore_epoch_snapshot(pool, snap, allocator)
     assert allocator.is_allocated(a)
     assert not allocator.is_allocated(b)
+
+
+# ----------------------------------------------------------------------
+# the pool's epochs against the eager epoch model
+# ----------------------------------------------------------------------
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+
+class EagerEpochModel:
+    """Reference epoch bookkeeping: every durable mutation records its
+    pre-image in *every* open epoch (first write wins), and undo records
+    each restored word into the remaining epochs.  Quadratic in nesting
+    depth, but each epoch's dirty set is simply its own dict — the
+    meaning the pool's innermost-only recording must reproduce."""
+
+    def __init__(self) -> None:
+        self.durable: dict = {}
+        self.epochs: dict = {}
+
+    def _note(self, addr: int) -> None:
+        for pre in self.epochs.values():
+            if addr not in pre:
+                pre[addr] = self.durable.get(addr)
+
+    def put(self, addr: int, value: int) -> None:
+        """A durable write (``durable_write`` or a fenced store)."""
+        self._note(addr)
+        if value == 0:
+            self.durable.pop(addr, None)
+        else:
+            self.durable[addr] = value
+
+    def load(self, items: dict) -> None:
+        for addr in set(self.durable) | set(items):
+            if self.durable.get(addr) != items.get(addr):
+                self._note(addr)
+        self.durable = dict(items)
+
+    def open(self, token: int) -> None:
+        self.epochs[token] = {}
+
+    def undo(self, token: int, close: bool) -> int:
+        assert token == next(reversed(self.epochs))
+        pre = self.epochs.pop(token)
+        for addr, value in pre.items():
+            for other in self.epochs.values():
+                if addr not in other:
+                    other[addr] = self.durable.get(addr)
+            if value is None:
+                self.durable.pop(addr, None)
+            else:
+                self.durable[addr] = value
+        if not close:
+            self.epochs[token] = {}
+        return len(pre)
+
+    def close(self, token: int) -> None:
+        self.epochs.pop(token)
+
+    def capture(self, token: int) -> dict:
+        delta = {a: self.durable.get(a, 0) for a in self.epochs[token]}
+        self.close(token)
+        return delta
+
+
+#: eight words across a cache-line boundary: few enough that epochs
+#: keep colliding on the same word, and fences write back neighbours
+_LO, _HI = PM_BASE + 5, PM_BASE + 12
+_ADDRS = st.integers(_LO, _HI)
+_VALUES = st.integers(0, 3)
+
+
+class EpochOracleMachine(RuleBasedStateMachine):
+    """Random epoch workloads, compared against the eager model after
+    every step: the durable dict (absent vs explicit 0 included), every
+    undo's return value, each open epoch's dirty-word count and every
+    captured delta."""
+
+    @initialize()
+    def setup(self):
+        self.pool = PMPool(64, name="oracle")
+        self.model = EagerEpochModel()
+        self.tokens: list = []
+
+    @rule()
+    def open_epoch(self):
+        token = self.pool.open_epoch()
+        self.model.open(token)
+        self.tokens.append(token)
+
+    @rule(addr=_ADDRS, value=_VALUES)
+    def durable_write(self, addr, value):
+        self.pool.durable_write(addr, value)
+        self.model.put(addr, value)
+
+    @rule(addr=_ADDRS, values=st.lists(_VALUES, min_size=1, max_size=4))
+    def write_persist(self, addr, values):
+        values = values[: _HI + 1 - addr]
+        self.pool.write_range(addr, values)
+        self.pool.persist(addr, len(values))
+        for i, value in enumerate(values):
+            self.model.put(addr + i, value)
+
+    @rule(items=st.dictionaries(_ADDRS, _VALUES, max_size=8))
+    def load_durable(self, items):
+        self.pool.load_durable(items)
+        self.model.load(items)
+
+    @precondition(lambda self: self.tokens)
+    @rule(close=st.booleans())
+    def undo_newest(self, close):
+        token = self.tokens[-1]
+        assert self.pool.epoch_undo(token, close=close) == self.model.undo(
+            token, close
+        )
+        if close:
+            self.tokens.pop()
+
+    @precondition(lambda self: self.tokens)
+    @rule(data=st.data())
+    def close_any(self, data):
+        token = data.draw(st.sampled_from(self.tokens))
+        self.pool.close_epoch(token)
+        self.model.close(token)
+        self.tokens.remove(token)
+
+    @precondition(lambda self: self.tokens)
+    @rule(data=st.data())
+    def capture_any(self, data):
+        token = data.draw(st.sampled_from(self.tokens))
+        delta = self.pool.capture_epoch_delta(token)
+        assert delta == self.model.capture(token)
+        self.tokens.remove(token)
+
+    @invariant()
+    def same_state(self):
+        assert self.pool.durable_items() == self.model.durable
+        for token in self.tokens:
+            assert self.pool.epoch_dirty_words(token) == len(
+                self.model.epochs[token]
+            )
+
+
+EpochOracleMachine.TestCase.settings = settings(
+    max_examples=200, stateful_step_count=40, deadline=None
+)
+TestEpochsMatchEagerModel = EpochOracleMachine.TestCase

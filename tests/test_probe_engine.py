@@ -187,3 +187,91 @@ def test_dirty_word_restore_beats_full_restore_at_scale():
         f"epoch undo {epoch_seconds:.4f}s vs full restore "
         f"{full_seconds:.4f}s — dirty-word restore regressed"
     )
+
+
+# ----------------------------------------------------------------------
+# complexity: probe-point movement follows the words, not the depth
+# ----------------------------------------------------------------------
+def _rewind_seconds(depth, words_per_level, repeats=5):
+    """Best-of time to nest ``depth`` epochs, dirty ``words_per_level``
+    words at each level and undo them all newest-first."""
+    from repro.pmem.pool import PM_BASE, PMPool
+
+    n_words = depth * words_per_level
+    best = float("inf")
+    for _ in range(repeats):
+        pool = PMPool(n_words + 64, name="depth")
+        t0 = time.perf_counter()
+        tokens = []
+        addr = PM_BASE
+        for level in range(depth):
+            tokens.append(pool.open_epoch())
+            for _ in range(words_per_level):
+                pool.durable_write(addr, level + 1)
+                addr += 1
+        for token in reversed(tokens):
+            pool.epoch_undo(token)
+        best = min(best, time.perf_counter() - t0)
+        assert pool.durable_items() == {}
+    return best
+
+
+def test_deep_epoch_rewind_costs_what_a_flat_one_does():
+    """400 nested epochs with 3 dirty words each rewind within 5x of
+    one epoch holding the same 1200 words.  Recording every pre-image in
+    every open epoch (and re-checking each restored word against them)
+    made the deep case thousands of times slower (about 3000x on a
+    2-CPU host)."""
+    deep = _rewind_seconds(400, 3)
+    flat = _rewind_seconds(1, 1200)
+    assert deep < 5 * flat, (
+        f"deep rewind {deep * 1e3:.2f} ms vs flat {flat * 1e3:.2f} ms"
+    )
+
+
+def test_forward_pass_queries_each_slice_node_once():
+    """``_purge_forward_pass`` asks ``forward_seqs_fn`` once per distinct
+    slice node and reverts exactly what a per-candidate loop reverts."""
+    import dataclasses
+
+    from repro.reactor.revert import MitigationResult
+
+    def run(per_candidate):
+        state = build_synthetic_state(400, seed=3)
+        calls = []
+
+        def forward(cand):
+            calls.append(cand.slice_iid)
+            obj = state.objects[cand.slice_iid * 7]
+            return set(state.log.update_seqs_for_address(obj))
+
+        reverter = Reverter(
+            state.log, state.pool, state.allocator, state.reexec(),
+            forward_seqs_fn=forward,
+        )
+        cands = [
+            dataclasses.replace(c, slice_iid=i % 2)
+            for i, c in enumerate(state.candidates)
+        ]
+        cut = state.victim_seq // 3
+        result = MitigationResult(recovered=False, mode="bisect")
+        result.reverted_seqs = [state.victim_seq]
+        if per_candidate:
+            extra = set()
+            for cand in cands:
+                for s in forward(cand):
+                    if s > cut and s not in result.reverted_seqs:
+                        extra.add(s)
+            for s in sorted(extra, reverse=True):
+                if reverter.revert_update_seq(s, 1):
+                    result.reverted_seqs.append(s)
+        else:
+            reverter._purge_forward_pass(result, cands, cut)
+        return calls, result.reverted_seqs, state.durable_image()
+
+    calls, seqs, image = run(per_candidate=False)
+    ref_calls, ref_seqs, ref_image = run(per_candidate=True)
+    assert sorted(calls) == [0, 1]
+    assert len(ref_calls) == len(build_synthetic_state(400, seed=3).candidates)
+    assert len(seqs) > 1
+    assert (seqs, image) == (ref_seqs, ref_image)
