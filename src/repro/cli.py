@@ -156,7 +156,7 @@ def _cmd_matrix_all(args) -> int:
     import json
     import os
 
-    from repro.harness.matrix import expand_matrix, run_matrix
+    from repro.harness.matrix import check_against, expand_matrix, run_matrix
 
     specs = expand_matrix(seeds=range(args.seeds))
     report = run_matrix(
@@ -171,16 +171,29 @@ def _cmd_matrix_all(args) -> int:
             and c.result().mitigation.recovered
         )
 
+    def _consistent(c) -> bool:
+        # the headline: recovered *and* verified consistent
+        return _recovered(c) and c.result().mitigation.consistent is True
+
+    def _counts(cells) -> dict:
+        return {
+            "cells": len(cells),
+            "recovered_consistent": sum(1 for c in cells if _consistent(c)),
+            "recovered": sum(1 for c in cells if _recovered(c)),
+        }
+
     rows = []
     for solution in SOLUTIONS:
         cells = [c for c in report.cells if c.spec.solution == solution]
-        recovered = sum(1 for c in cells if _recovered(c))
+        n = _counts(cells)
         errors = sum(1 for c in cells if not c.ok)
-        rows.append([solution, len(cells), recovered, errors])
+        rows.append([solution, n["cells"], n["recovered_consistent"],
+                     n["recovered"], errors])
     print(render_table(
         f"Full matrix sweep ({args.seeds} seed(s), {report.jobs} "
         f"worker(s), {report.wall_seconds:.1f}s wall)",
-        ["solution", "cells", "recovered", "errors"],
+        ["solution", "cells", "recovered+consistent", "recovered (raw)",
+         "errors"],
         rows,
     ))
     # per-family recoverability: the seeded table2 row vs the
@@ -202,19 +215,33 @@ def _cmd_matrix_all(args) -> int:
         row: List[object] = [family, len(fids)]
         family_json[family] = {"faults": fids, "solutions": {}}
         for solution in SOLUTIONS:
-            cells = [c for c in fam_cells if c.spec.solution == solution]
-            recovered = sum(1 for c in cells if _recovered(c))
-            row.append(f"{recovered}/{len(cells)}")
-            family_json[family]["solutions"][solution] = {
-                "cells": len(cells), "recovered": recovered,
-            }
+            n = _counts([c for c in fam_cells if c.spec.solution == solution])
+            row.append(f"{n['recovered_consistent']}/{n['cells']} "
+                       f"({n['recovered']})")
+            family_json[family]["solutions"][solution] = n
         family_rows.append(row)
     print()
     print(render_table(
-        "Recoverability by fault family (recovered/cells)",
+        "Recoverability by fault family "
+        "(recovered and consistent/cells, raw recovered in parentheses)",
         ["family", "faults"] + list(SOLUTIONS),
         family_rows,
     ))
+    if args.check:
+        if not os.path.exists(args.out):
+            print(f"drift check: no committed report at {args.out}",
+                  file=sys.stderr)
+            return 1
+        with open(args.out) as f:
+            committed = json.load(f)
+        problems = check_against(report, committed)
+        if problems:
+            for p in problems:
+                print(f"drift check: {p}", file=sys.stderr)
+            return 1
+        print(f"drift check: all {len(report.cells)} cells match {args.out}",
+              file=sys.stderr)
+        return 0 if report.n_errors == 0 else 1
     if args.out != "-":
         payload = {
             "config": {
@@ -562,6 +589,10 @@ def build_parser() -> argparse.ArgumentParser:
                               help="per-cell wall-clock budget in seconds")
     matrix_all_p.add_argument("--out", default="results/matrix_all.json",
                               help="JSON report path ('-' to skip writing)")
+    matrix_all_p.add_argument("--check", action="store_true",
+                              help="drift check: compare every cell's outcome "
+                                   "with the report at --out instead of "
+                                   "writing it; exit 1 on any drift")
 
     analyze_p = sub.add_parser("analyze", help="static-analysis statistics")
     analyze_p.add_argument("--system", required=True,

@@ -287,8 +287,11 @@ def bench_probe_engine(n_updates: int, seed: int = 0) -> Dict[str, object]:
     -movement bug, and the run aborts rather than report a speedup.
 
     Each of :data:`PROBE_ROUNDS` rounds times both engines, each on a
-    fresh state with the garbage collector collected and then kept out
-    of the timed bisect; the reported seconds are the per-engine medians.
+    fresh state whose staged checkpoint-log tail is merged beforehand
+    (``Reverter._begin`` would otherwise merge it inside the timed
+    bisect, work both engines share), with the garbage collector
+    collected and then kept out of the timed bisect; the reported
+    seconds are the per-engine medians.
     """
     samples: Dict[str, List[float]] = {"incremental": [], "snapshot": []}
     images = {}
@@ -299,6 +302,9 @@ def bench_probe_engine(n_updates: int, seed: int = 0) -> Dict[str, object]:
             reverter = Reverter(
                 state.log, state.pool, state.allocator, state.reexec()
             )
+            # merge the workload's staged log tail untimed: both engines
+            # share that merge, so timing it would dilute the ratio
+            state.log.flush_staging()
             gc.collect()
             was_enabled = gc.isenabled()
             gc.disable()

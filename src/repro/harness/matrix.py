@@ -382,6 +382,60 @@ class MatrixReport:
         }
 
 
+#: mitigation fields a cell's outcome contract pins (``matrix-all --check``)
+CONTRACT_FIELDS = (
+    "recovered", "consistent", "attempts", "reverted_updates",
+    "reverted_seqs", "pool_digest", "timed_out",
+)
+
+
+def cell_contract(cell: Dict[str, object]) -> Dict[str, object]:
+    """The outcome contract of one cell in :meth:`CellOutcome.to_json` form.
+
+    Whether the cell ran, the detected fault (iid, kind, message) and
+    the mitigation fields in :data:`CONTRACT_FIELDS` — everything a
+    change that must not move a recovery outcome has to leave equal.
+    Wall-clock fields stay out.
+    """
+    summary = cell.get("summary") or {}
+    fault = summary.get("detection_fault") or {}
+    run = summary.get("mitigation") or {}
+    contract: Dict[str, object] = {"ok": cell.get("ok")}
+    for key in ("iid", "kind", "message"):
+        contract[f"fault.{key}"] = fault.get(key)
+    for key in CONTRACT_FIELDS:
+        contract[key] = run.get(key)
+    return contract
+
+
+def check_against(report: MatrixReport, committed: dict) -> List[str]:
+    """Drift check: every cell must match the committed report's
+    outcome contract, and both must hold the same cells."""
+    want = {
+        (c["fid"], c["solution"], c["seed"]): c
+        for c in committed.get("report", {}).get("cells", [])
+    }
+    problems: List[str] = []
+    for cell in report.cells:
+        key = cell.spec.key
+        committed_cell = want.pop(key, None)
+        if committed_cell is None:
+            problems.append(
+                f"cell {cell.spec.label()} missing from committed report"
+            )
+            continue
+        theirs = cell_contract(committed_cell)
+        for k, v in cell_contract(cell.to_json()).items():
+            if theirs[k] != v:
+                problems.append(
+                    f"cell {cell.spec.label()} drifted on {k}: "
+                    f"committed {theirs[k]!r} vs {v!r}"
+                )
+    for fid, solution, seed in want:
+        problems.append(f"committed cell {fid}/{solution}@{seed} not run")
+    return problems
+
+
 ProgressFn = Callable[[int, int, CellOutcome], None]
 
 

@@ -14,7 +14,7 @@ flushed while it is open — including pairs that were already durable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 Pair = Tuple[str, int]
 
@@ -42,6 +42,36 @@ class PMTrace:
         buffer.append((guid, addr))
         if len(buffer) >= self.flush_threshold:
             self.flush()
+
+    def record_repeated(self, pairs: Sequence[Pair], times: int) -> None:
+        """Record ``pairs`` ``times`` times over, in closed form.
+
+        Leaves the trace exactly as ``times`` passes of :meth:`record`
+        over ``pairs`` would: the threshold flushes fall at the same
+        records, so the durable pairs, their first-flushed order, every
+        open window and the buffered tail all match.  Costs
+        O(len(pairs) + flush_threshold) whatever ``times`` is.  The VM
+        uses it to fast-forward the trace across the whole periods of a
+        repeating loop it skips.
+        """
+        n = len(pairs) * times
+        if n == 0:
+            return
+        buffer = self._buffer
+        threshold = self.flush_threshold
+        room = threshold - len(buffer)
+        if n < room:
+            buffer.extend(pairs * times)
+            return
+        # every flush after the first takes ``threshold`` records; only
+        # the first period of those can hold a pair not flushed before
+        flushed = room + (n - room) // threshold * threshold
+        batch = dict.fromkeys(buffer)
+        batch.update(dict.fromkeys(pairs[:flushed]))
+        buffer.clear()
+        self._install(batch)
+        period = len(pairs)
+        buffer.extend(pairs[i % period] for i in range(flushed, n))
 
     def flush(self) -> None:
         """Write buffered records to the durable trace."""

@@ -41,6 +41,17 @@ table engine):
   step budget; a segment only runs when its full step count fits the
   remaining budget, otherwise the runner falls back to single-stepping
   so ``HangTrap`` fires on exactly the same step as the table engine.
+* The runner may skip whole periods of a loop whose state provably
+  repeats (``Machine._run_fused``, ``_CycleProbe``): the cycle key is
+  the position plus a mutation generation (pool write/flush/fence
+  counters and ``Machine.mutations``), with the frames compared only
+  when both match.  It skips k·p steps, k = (budget − steps) // p − 1,
+  counts them in ``steps_executed`` and ``steps_skipped``, and runs at
+  least the last period for real, so the ``HangTrap`` (instruction,
+  stack, message, ``steps_executed``) is the full run's.  The PM trace
+  is fast-forwarded with ``PMTrace.record_repeated``, which leaves it
+  exactly as the skipped periods would.  A loop that emits or stores
+  (f1's hang) never repeats a state and is never skipped.
 """
 
 from __future__ import annotations

@@ -56,6 +56,15 @@ VOL_BASE = 0x0010_0000
 #: default per-call step budget (exceeding it means hang/deadlock)
 DEFAULT_STEP_BUDGET = 400_000
 
+#: a fused run starts looking for an exact cycle only after this many
+#: steps, so short calls pay one integer compare per segment for it
+CYCLE_ARM_STEPS = 8192
+
+#: first distance between cycle-probe samples; it doubles at every
+#: re-sample (Brent), so a loop that never repeats pays O(log steps)
+#: samples
+CYCLE_FIRST_GAP = 256
+
 #: ops whose pointer operand is traced before execution
 _TRACE_PTR_OPS = frozenset({"load", "store", "persist", "flush", "txadd", "free"})
 
@@ -201,9 +210,19 @@ class Machine:
         self.dep_recorder = None
         self.emitted: Dict[str, List[int]] = {}
         self.last_fault: Optional[FaultInfo] = None
+        #: guest mutations of state outside the pool's write/flush/fence
+        #: counters: volatile stores, volatile and PM alloc/free/realloc,
+        #: the root pointer, transaction calls and emits.  Together with
+        #: those pool counters it is the exact-cycle probe's generation:
+        #: a loop that moves either never repeats a state
+        self.mutations = 0
         # counters for the overhead model
         self.steps_executed = 0
         self.calls_executed = 0
+        #: steps a fused run accounted without executing them, because
+        #: they lay in whole periods of a provably repeating loop (also
+        #: counted in ``steps_executed``)
+        self.steps_skipped = 0
 
     # ------------------------------------------------------------------
     # host API
@@ -375,6 +394,17 @@ class Machine:
         conversions.  Step accounting matches the table engine to the
         step: elided superinstruction temps still count, and a segment
         only runs when its full count fits the remaining budget.
+
+        A run that passes :data:`CYCLE_ARM_STEPS` steps looks for an
+        exact cycle (:class:`_CycleProbe`).  Once the state at step *s*
+        provably equals the state at *s − p*, the run skips k·p steps,
+        k = (budget − s) // p − 1, adding them to ``steps_executed``
+        and :attr:`steps_skipped`, and executes the last period or more
+        for real.  The state after the skip is the state the full run
+        reaches there, and at least one whole period is left before the
+        budget, so every later segment-versus-single-step choice and
+        the ``HangTrap`` itself (instruction, stack, message,
+        ``steps_executed``) are those of the full run.
         """
         live = [t for t in threads if not t.done]
         if not live:
@@ -382,71 +412,97 @@ class Machine:
         current = 0
         steps = 0
         hook = self._hook_prologue()
-        while live:
-            thread = live[current % len(live)]
-            frame = thread.frames[-1]
-            block = frame.func.blocks[frame.block]
-            segs = block._fused_segs
-            if segs is None:
-                segs = compile_block_segments(frame.func, block)
-            seg = segs.get(frame.index)
-            if seg is not None and steps + seg.n_steps <= step_budget:
+        probe = _CycleProbe.for_run(self, step_budget)
+        probe_at = CYCLE_ARM_STEPS if probe is not None else step_budget + 1
+        # the probe's trigger in locals: the next sample's step, then the
+        # sampled position and registers
+        sample_at, sample_block, sample_index = probe_at, None, -1
+        sample_regs: Dict[str, int] = {}
+        try:
+            while live:
+                thread = live[current % len(live)]
+                frame = thread.frames[-1]
+                block = frame.func.blocks[frame.block]
+                if steps >= probe_at and (
+                    steps >= sample_at
+                    or (block is sample_block and frame.index == sample_index
+                        and self.mutations == probe.mutations
+                        and frame.regs == sample_regs)
+                ):
+                    skip = probe.visit(live, current, frame, block, steps)
+                    if skip:
+                        steps += skip
+                        self.steps_executed += skip
+                        self.steps_skipped += skip
+                    if probe.done:
+                        probe_at = step_budget + 1
+                    sample_at = probe.sample_at
+                    sample_block, sample_index = probe.block, probe.index
+                    sample_regs = probe.regs
+                segs = block._fused_segs
+                if segs is None:
+                    segs = compile_block_segments(frame.func, block)
+                seg = segs.get(frame.index)
+                if seg is not None and steps + seg.n_steps <= step_budget:
+                    try:
+                        seg.run(self, thread, frame)
+                    except Trap as trap:
+                        prefix = frame.index - seg.start
+                        if prefix > 0:
+                            steps += prefix
+                            self.steps_executed += prefix
+                        self._record_fault(trap, thread)
+                        raise
+                    except (KeyError, ZeroDivisionError):
+                        # a raw-coded statement faulted: commit the completed
+                        # prefix, then let the table re-execute the faulting
+                        # instruction (frame.index points at it) for the
+                        # exact ReproError/ArithmeticTrap conversion
+                        prefix = frame.index - seg.start
+                        if prefix > 0:
+                            steps += prefix
+                            self.steps_executed += prefix
+                    except BaseException:
+                        prefix = frame.index - seg.start
+                        if prefix > 0:
+                            steps += prefix
+                            self.steps_executed += prefix
+                        raise
+                    else:
+                        steps += seg.n_steps
+                        self.steps_executed += seg.n_steps
+                        if hook is not None and self.steps_executed >= self._next_step_hook:
+                            hook()
+                            self._next_step_hook = (
+                                self.steps_executed + self.step_hook_every
+                            )
+                        continue
                 try:
-                    seg.run(self, thread, frame)
+                    switch = self._step(thread)
                 except Trap as trap:
-                    prefix = frame.index - seg.start
-                    if prefix > 0:
-                        steps += prefix
-                        self.steps_executed += prefix
                     self._record_fault(trap, thread)
                     raise
-                except (KeyError, ZeroDivisionError):
-                    # a raw-coded statement faulted: commit the completed
-                    # prefix, then let the table re-execute the faulting
-                    # instruction (frame.index points at it) for the
-                    # exact ReproError/ArithmeticTrap conversion
-                    prefix = frame.index - seg.start
-                    if prefix > 0:
-                        steps += prefix
-                        self.steps_executed += prefix
-                except BaseException:
-                    prefix = frame.index - seg.start
-                    if prefix > 0:
-                        steps += prefix
-                        self.steps_executed += prefix
-                    raise
-                else:
-                    steps += seg.n_steps
-                    self.steps_executed += seg.n_steps
-                    if hook is not None and self.steps_executed >= self._next_step_hook:
-                        hook()
-                        self._next_step_hook = (
-                            self.steps_executed + self.step_hook_every
-                        )
+                steps += 1
+                self.steps_executed += 1
+                if steps > step_budget:
+                    trap = HangTrap(
+                        f"step budget {step_budget} exceeded in {thread.name}",
+                        location=self._current_location(thread),
+                    )
+                    self._record_fault(trap, thread)
+                    raise trap
+                if hook is not None and self.steps_executed >= self._next_step_hook:
+                    hook()
+                    self._next_step_hook = self.steps_executed + self.step_hook_every
+                if thread.done:
+                    live = [t for t in live if not t.done]
+                    current = 0
                     continue
-            try:
-                switch = self._step(thread)
-            except Trap as trap:
-                self._record_fault(trap, thread)
-                raise
-            steps += 1
-            self.steps_executed += 1
-            if steps > step_budget:
-                trap = HangTrap(
-                    f"step budget {step_budget} exceeded in {thread.name}",
-                    location=self._current_location(thread),
-                )
-                self._record_fault(trap, thread)
-                raise trap
-            if hook is not None and self.steps_executed >= self._next_step_hook:
-                hook()
-                self._next_step_hook = self.steps_executed + self.step_hook_every
-            if thread.done:
-                live = [t for t in live if not t.done]
-                current = 0
-                continue
-            if switch:
-                current = (current + 1) % len(live)
+                if switch:
+                    current = (current + 1) % len(live)
+        finally:
+            if probe is not None:
+                probe.close()
 
     def _current_instr(self, thread: Thread) -> Instr:
         frame = thread.frame
@@ -579,6 +635,7 @@ class Machine:
     def _op_realloc(self, thread: Thread, frame: Frame, instr: Instr):
         addr = self._reg(frame, instr.args[0], instr)
         size = self._reg(frame, instr.args[1], instr)
+        self.mutations += 1
         try:
             frame.regs[instr.dst] = self.allocator.realloc(
                 addr, size, site=instr.guid or str(instr.iid)
@@ -639,23 +696,28 @@ class Machine:
         self.pool.fence()
 
     def _op_txbegin(self, thread: Thread, frame: Frame, instr: Instr):
+        self.mutations += 1
         self.txman.begin(ctx=thread.tid)
 
     def _op_txadd(self, thread: Thread, frame: Frame, instr: Instr):
         addr = self._reg(frame, instr.args[0], instr)
         nwords = self._reg(frame, instr.args[1], instr)
+        self.mutations += 1
         try:
             self.txman.add(addr, nwords, ctx=thread.tid)
         except PoolError as exc:
             raise SegfaultTrap(str(exc), location=instr.location()) from exc
 
     def _op_txcommit(self, thread: Thread, frame: Frame, instr: Instr):
+        self.mutations += 1
         self.txman.commit(ctx=thread.tid)
 
     def _op_txabort(self, thread: Thread, frame: Frame, instr: Instr):
+        self.mutations += 1
         self.txman.abort(ctx=thread.tid)
 
     def _op_setroot(self, thread: Thread, frame: Frame, instr: Instr):
+        self.mutations += 1
         self.allocator.set_root(self._reg(frame, instr.args[0], instr))
 
     def _op_getroot(self, thread: Thread, frame: Frame, instr: Instr):
@@ -671,6 +733,7 @@ class Machine:
 
     def _op_emit(self, thread: Thread, frame: Frame, instr: Instr):
         key, value_r = instr.args
+        self.mutations += 1
         self.emitted.setdefault(key, []).append(self._reg(frame, value_r, instr))
 
     def _op_yield(self, thread: Thread, frame: Frame, instr: Instr):
@@ -718,6 +781,7 @@ class Machine:
             return
         if addr in self._vol_valid:
             self.vmem[addr] = value
+            self.mutations += 1
             return
         raise SegfaultTrap(
             f"invalid store at {addr:#x}"
@@ -730,6 +794,7 @@ class Machine:
             raise SegfaultTrap(
                 f"allocation of non-positive size {size}", location=instr.location()
             )
+        self.mutations += 1
         if space == "pm":
             try:
                 return self.allocator.zalloc(size, site=instr.guid or str(instr.iid))
@@ -744,6 +809,7 @@ class Machine:
         return addr
 
     def _free(self, addr: int, space: str, instr: Instr) -> None:
+        self.mutations += 1
         if space == "pm":
             try:
                 self.allocator.free(addr)
@@ -778,6 +844,161 @@ class Machine:
             addr = frame.regs.get(instr.dst)
             if addr is not None and addr >= PM_BASE:
                 self.tracer(instr.guid, addr)
+
+
+class _CycleProbe:
+    """Exact-cycle detection over one fused run (Brent's algorithm).
+
+    A *sample* is the state at the top of one :meth:`Machine._run_fused`
+    iteration: the position about to run, every live thread's frames
+    (function, block, index, return register, registers), the scheduler
+    slot, and the *mutation generation* — the pool's write, flush and
+    fence counters plus :attr:`Machine.mutations`.  While the generation
+    stands still, nothing outside the frames changes: not the pool's
+    write buffer, durable image or staged lines, the volatile heap, the
+    allocator, the transaction manager, the emitted values, nor the
+    checkpoint log, which only fence, transaction and allocator hooks
+    feed.  So a later iteration whose position, generation, slot and
+    frames equal the sample's is the sample's state again, and the
+    deterministic machine repeats the stretch between them forever.
+
+    The run loop checks the position, the generation and the current
+    frame's registers itself and calls :meth:`visit` only when all
+    match, so a loop that mutates anything (an emit, a store) is turned
+    away by one integer compare.  The sample is refreshed at doubling
+    step distances, so a loop that never repeats pays O(log steps)
+    snapshots.
+
+    Skipped periods record no PM-address pairs, so with a tracer
+    attached the probe first runs one more period with the tracer
+    taped, then replays that tape in closed form
+    (:meth:`~repro.instrument.tracer.PMTrace.record_repeated`): the
+    trace ends exactly as the full run leaves it.  A tracer that is not
+    a bound ``record`` offering ``record_repeated`` would have to see
+    every call, so it turns the probe off.
+    """
+
+    __slots__ = (
+        "machine", "budget", "trace", "tracer", "tape", "done",
+        "block", "index", "mutations", "pool_gen", "current", "regs",
+        "frames", "steps", "sample_at", "gap",
+    )
+
+    def __init__(self, machine: Machine, budget: int, trace) -> None:
+        self.machine = machine
+        self.budget = budget
+        self.trace = trace
+        self.tracer = machine.tracer
+        #: the taped period's trace records, while one is being taped
+        self.tape: Optional[List[Tuple[str, int]]] = None
+        self.done = False
+        self.block = None
+        self.index = -1
+        self.mutations = -1
+        self.pool_gen: Tuple[int, ...] = ()
+        self.current = -1
+        self.regs: Dict[str, int] = {}
+        self.frames: tuple = ()
+        self.steps = 0
+        self.sample_at = CYCLE_ARM_STEPS
+        self.gap = CYCLE_FIRST_GAP
+
+    @classmethod
+    def for_run(cls, machine: Machine, budget: int) -> Optional["_CycleProbe"]:
+        """A probe for one run, or None when no skip could be exact."""
+        if budget <= CYCLE_ARM_STEPS:
+            return None
+        tracer = machine.tracer
+        trace = None
+        if tracer is not None:
+            trace = getattr(tracer, "__self__", None)
+            if not hasattr(trace, "record_repeated") or tracer != trace.record:
+                return None
+        return cls(machine, budget, trace)
+
+    def visit(self, live: List[Thread], current: int, frame: Frame, block,
+              steps: int) -> int:
+        """Check or refresh the sample; returns the steps to skip."""
+        machine = self.machine
+        index = frame.index
+        if (
+            block is self.block and index == self.index
+            and machine.mutations == self.mutations
+            and current == self.current
+            and frame.regs == self.regs
+            and self._pool_gen() == self.pool_gen
+            and self._frames(live) == self.frames
+        ):
+            return self._repeat(steps)
+        if steps < self.sample_at:
+            return 0
+        if self.tape is not None:
+            # the taped period did not come round again: impossible for a
+            # deterministic machine, but never skip on a broken premise
+            self.close()
+            self.done = True
+            return 0
+        self.block, self.index, self.current = block, index, current
+        self.mutations = machine.mutations
+        self.regs = dict(frame.regs)
+        self.pool_gen = self._pool_gen()
+        self.frames = self._frames(live)
+        self.steps = steps
+        self.sample_at = steps + self.gap
+        self.gap *= 2
+        return 0
+
+    def _repeat(self, steps: int) -> int:
+        """The state at ``steps`` is the sample's: plan or make the skip."""
+        period = steps - self.steps
+        skip = ((self.budget - steps) // period - 1) * period
+        if self.trace is None:
+            self.done = True
+            return max(skip, 0)
+        if self.tape is None:
+            if skip <= period:  # nothing would be left to skip after taping
+                self.done = True
+                return 0
+            tape: List[Tuple[str, int]] = []
+            record = self.tracer
+
+            def taped(guid: str, addr: int) -> None:
+                tape.append((guid, addr))
+                record(guid, addr)
+
+            self.tape = tape
+            self.machine.tracer = taped
+            self.steps = steps
+            self.sample_at = steps + period
+            return 0
+        tape = self.tape
+        self.close()
+        self.done = True
+        self.trace.record_repeated(tape, skip // period)
+        return skip
+
+    def close(self) -> None:
+        """Put the run's own tracer back if a period is being taped."""
+        if self.tape is not None:
+            self.machine.tracer = self.tracer
+            self.tape = None
+
+    def _pool_gen(self) -> Tuple[int, ...]:
+        stats = self.machine.pool.stats
+        return (
+            stats["writes"], stats["flushes"], stats["fences"],
+            stats["skipped_flushes"], stats["skipped_fences"],
+        )
+
+    @staticmethod
+    def _frames(live: List[Thread]) -> tuple:
+        return tuple(
+            (t, tuple(
+                (f.func, f.block, f.index, f.ret_dst, dict(f.regs))
+                for f in t.frames
+            ))
+            for t in live
+        )
 
 
 #: opcode -> handler function, built once at import time; the VM caches

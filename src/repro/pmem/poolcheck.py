@@ -23,6 +23,7 @@ exhibit them transiently); metadata findings are errors.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List
 
@@ -101,12 +102,16 @@ def check_pool(pool: PMPool, allocator: PMAllocator) -> PoolCheckReport:
     if root != 0 and not allocator.is_allocated(root):
         report.errors.append(f"root pointer {root:#x} is not a live block")
 
+    # 5./6. bucket the durable image's words into the free extents and
+    # live blocks: one sorted pass, never a read per heap word
+    durable = pool.durable_items()
+    addrs = sorted(a for a, v in durable.items() if v)
+
+    def words_in(a: int, n: int) -> List[int]:
+        return addrs[bisect_left(addrs, a):bisect_left(addrs, a + n)]
+
     # 5. stray durable data in free space
-    free_words = 0
-    for a, n in extents:
-        free_words += sum(
-            1 for w in range(a, a + n) if pool.durable_read(w) != 0
-        )
+    free_words = sum(len(words_in(a, n)) for a, n in extents)
     if free_words:
         report.warnings.append(
             f"{free_words} non-zero durable word(s) in free space "
@@ -116,11 +121,10 @@ def check_pool(pool: PMPool, allocator: PMAllocator) -> PoolCheckReport:
     # 6. dangling persistent pointers inside live blocks
     dangling = 0
     for a, n in blocks:
-        for w in range(a, a + n):
-            value = pool.durable_read(w)
-            if value and pool.contains(value):
-                if allocator.block_containing(value) is None:
-                    dangling += 1
+        for w in words_in(a, n):
+            value = durable[w]
+            if pool.contains(value) and allocator.block_containing(value) is None:
+                dangling += 1
     if dangling:
         report.warnings.append(
             f"{dangling} pointer-looking durable word(s) targeting freed "

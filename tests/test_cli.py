@@ -51,6 +51,40 @@ def test_cluster_sweep_quick_check(capsys):
     assert "converged" in out
 
 
+def test_matrix_all_headline_and_drift_check(capsys, monkeypatch, tmp_path):
+    import json
+
+    from repro.harness import matrix
+
+    # f3/arthas recovers inconsistent, f11/arthas consistent, and arckpt
+    # recovers neither: the headline counts recovered and consistent
+    expand = matrix.expand_matrix
+    monkeypatch.setattr(matrix, "expand_matrix", lambda seeds: expand(
+        fids=["f3", "f11"], solutions=["arthas", "arckpt"], seeds=seeds,
+    ))
+    out = tmp_path / "matrix.json"
+    assert main(["matrix-all", "--jobs", "1", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "recovered+consistent" in printed and "recovered (raw)" in printed
+    assert "1/2 (2)" in printed
+    families = json.loads(out.read_text())["families"]["table2"]["solutions"]
+    assert families["arthas"] == {
+        "cells": 2, "recovered_consistent": 1, "recovered": 2,
+    }
+    assert families["arckpt"]["recovered_consistent"] == 0
+
+    assert main(["matrix-all", "--jobs", "1", "--check",
+                 "--out", str(out)]) == 0
+    assert "all 4 cells match" in capsys.readouterr().err
+
+    committed = json.loads(out.read_text())
+    committed["report"]["cells"][0]["summary"]["mitigation"]["pool_digest"] += 1
+    out.write_text(json.dumps(committed))
+    assert main(["matrix-all", "--jobs", "1", "--check",
+                 "--out", str(out)]) == 1
+    assert "drifted on pool_digest" in capsys.readouterr().err
+
+
 def test_parser_rejects_unknown():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--fault", "f99"])

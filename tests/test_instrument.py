@@ -230,3 +230,37 @@ def test_dedup_trace_matches_seed_oracle(threshold, ops):
     while windows:
         close(len(windows) - 1, True)
     check_indexes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    threshold=st.integers(min_value=1, max_value=12),
+    prefix=st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 5)),
+                    max_size=30),
+    period=st.lists(st.tuples(st.sampled_from("abcd"), st.integers(0, 7)),
+                    max_size=9),
+    times=st.integers(min_value=0, max_value=40),
+)
+def test_record_repeated_equals_recording_each_pass(threshold, prefix,
+                                                    period, times):
+    """The closed-form fast-forward leaves the trace exactly as the
+    record loop does: durable pairs in order, buffer, open window."""
+    traces = [PMTrace(flush_threshold=threshold) for _ in range(2)]
+    windows = []
+    for trace in traces:
+        for pair in prefix[: len(prefix) // 2]:
+            trace.record(*pair)
+        windows.append(trace.open_window())
+        for pair in prefix[len(prefix) // 2:]:
+            trace.record(*pair)
+    looped, closed = traces
+    for _ in range(times):
+        for pair in period:
+            looped.record(*pair)
+    closed.record_repeated(period, times)
+    assert closed.records == looped.records
+    assert closed._buffer == looped._buffer
+    assert closed._addrs_by_guid == looped._addrs_by_guid
+    assert closed._guids_by_addr == looped._guids_by_addr
+    assert closed.close_window(windows[1], flush=False) == \
+        looped.close_window(windows[0], flush=False)

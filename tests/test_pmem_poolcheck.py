@@ -82,3 +82,51 @@ def test_running_system_pool_stays_consistent():
         mc.delete(k)
     report = check_pool(mc.pool, mc.allocator)
     assert report.ok
+
+
+def _per_word_counts(pool, allocator):
+    """The per-word durable scan the bucketed pass replaced (oracle)."""
+    free_words = sum(
+        1 for a, n in sorted(allocator._free)
+        for w in range(a, a + n) if pool.durable_read(w) != 0
+    )
+    dangling = 0
+    for a, n in sorted(allocator.allocations().items()):
+        for w in range(a, a + n):
+            value = pool.durable_read(w)
+            if value and pool.contains(value) \
+                    and allocator.block_containing(value) is None:
+                dangling += 1
+    return free_words, dangling
+
+
+def test_bucketed_scan_matches_per_word_scan():
+    import random
+
+    rng = random.Random(7)
+    pool, allocator = _stack()
+    blocks = [allocator.zalloc(rng.randint(1, 12)) for _ in range(40)]
+    for b in blocks:
+        for i in range(allocator.size_of(b)):
+            # plain data, pointers to other blocks, and explicit zeros
+            pool.durable_write(b + i, rng.choice(
+                [0, rng.randint(1, 1000), rng.choice(blocks) + 1]
+            ))
+    freed = rng.sample(blocks, 15)
+    for b in freed:
+        allocator.free(b)  # stale data stays behind in free space
+    # a wholesale load keeps explicit zero entries in the durable image
+    image = pool.durable_items()
+    image[blocks[0]] = 0
+    pool.load_durable(image)
+
+    free_words, dangling = _per_word_counts(pool, allocator)
+    assert free_words and dangling
+    report = check_pool(pool, allocator)
+    assert report.errors == []
+    assert report.warnings == [
+        f"{free_words} non-zero durable word(s) in free space "
+        f"(stale data from freed blocks)",
+        f"{dangling} pointer-looking durable word(s) targeting freed "
+        f"memory (dangling persistent pointers)",
+    ]
